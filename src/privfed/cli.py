@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: run distinguishes success (0), budget exhaustion (4), and round
 failure (5); config validation problems exit 2 after listing every violated
 field. verify-audit exits 0 compliant, 1 non-compliant, 2 invalid or
-tampered, 3 unparseable input (reporting the first malformed line).
+tampered, 3 unparseable input (reporting the first malformed line); report
+exits 3 on an unreadable or malformed records file.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .compliance import (
 )
 from .config import ExperimentConfig, config_hash, load_config
 from .dp import NoiseScale
-from .errors import ChainFormatError, ConfigValidationError
+from .errors import ChainFormatError, ConfigValidationError, RecordsFormatError
 from .experiment import (
     ExperimentReport,
     emit_report,
@@ -165,21 +166,25 @@ def cmd_govern_train(args) -> int:
     return 0
 
 
+def _input_failure(exc: Exception) -> int:
+    """Exit code 3, after saying why an input file could not be read."""
+    if isinstance(exc, OSError):
+        print(f"cannot read input: {exc}", file=sys.stderr)
+    elif isinstance(exc, UnicodeDecodeError):
+        print(f"parse failure: undecodable bytes ({exc})", file=sys.stderr)
+    else:
+        print(f"parse failure: {exc}", file=sys.stderr)
+    return 3
+
+
 def cmd_verify_audit(args) -> int:
     """Standalone verification: reads only the chain, proof, and policy files."""
     try:
         policy = PolicySpec.read(args.policy)
         chain = AuditChain.read(args.chain)
         proof = ComplianceProof.read(args.proof)
-    except ChainFormatError as exc:
-        print(f"parse failure: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
-        return 3
-    except UnicodeDecodeError as exc:
-        print(f"parse failure: undecodable bytes ({exc})", file=sys.stderr)
-        return 3
+    except (ChainFormatError, OSError, UnicodeDecodeError) as exc:
+        return _input_failure(exc)
     if not chain.verify():
         print("verdict: invalid (audit chain fails hash verification)")
         return 2
@@ -191,8 +196,11 @@ def cmd_verify_audit(args) -> int:
 
 
 def cmd_report(args) -> int:
-    lines = Path(args.records).read_text(encoding="utf-8").split("\n")
-    report = ExperimentReport.from_records(parse_record_lines(lines))
+    try:
+        lines = Path(args.records).read_text(encoding="utf-8").split("\n")
+        report = ExperimentReport.from_records(parse_record_lines(lines))
+    except (RecordsFormatError, OSError, UnicodeDecodeError) as exc:
+        return _input_failure(exc)
     text = render_table(report)
     if args.out:
         out = Path(args.out)

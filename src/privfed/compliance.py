@@ -50,9 +50,6 @@ _CLAIM_KIND = {CLAIM_BUDGET: "budget-charge",
                CLAIM_REGION: "region-transfer"}
 
 _IDENT = re.compile(r"^[A-Za-z0-9._-]+$")
-_HEX64 = re.compile(r"[0-9a-f]{64}")
-_HEX_PAIRS = re.compile(r"(?:[0-9a-f]{2})+")
-_UINT = re.compile(r"[0-9]+")
 
 
 class Verdict(Enum):
@@ -147,8 +144,10 @@ def _entry_hash(sequence_no: int, round_index: int, institution_id: str,
     return hashlib.sha256(material.encode("utf-8")).digest()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AuditEntry:
+    # Not frozen: a frozen dataclass's __init__ costs about six times as
+    # much, and readers build one entry per line of every chain and proof.
     sequence_no: int
     round_index: int
     institution_id: str
@@ -166,37 +165,78 @@ class AuditEntry:
         )
 
 
-def _parse_hex_digest(text: str, line_no: int) -> bytes:
-    if _HEX64.fullmatch(text) is None:
-        raise ChainFormatError("malformed digest", line_no=line_no)
-    return bytes.fromhex(text)
+# Readers accept each field only in the one spelling the writers produce, so
+# a line re-serialises to exactly the bytes that were read and an entry hash
+# covers those bytes: no second spelling of a verified chain or proof exists.
+
+def _parse_uint(text: str, line_no: int) -> int:
+    """Canonical decimal: ASCII digits, no sign, separator, space or leading zero."""
+    if text.isdigit() and text.isascii() and (text[0] != "0" or text == "0"):
+        try:
+            return int(text)
+        except ValueError:  # longer than the interpreter's int-string limit
+            pass
+    raise ChainFormatError(f"non-canonical integer {text!r}", line_no=line_no)
+
+
+def _parse_hex(text: str, line_no: int, what: str) -> bytes:
+    """Non-empty bytes written as lowercase hex pairs with no whitespace."""
+    try:
+        data = bytes.fromhex(text)
+    except ValueError:
+        data = b""
+    if not data or data.hex() != text:
+        raise ChainFormatError(f"malformed {what}", line_no=line_no)
+    return data
+
+
+def _parse_digest(text: str, line_no: int, what: str = "digest") -> bytes:
+    """A digest: exactly ``2 * DIGEST_LEN`` lowercase hex characters."""
+    if len(text) != 2 * DIGEST_LEN:
+        raise ChainFormatError(f"malformed {what}", line_no=line_no)
+    return _parse_hex(text, line_no, what)
 
 
 def _parse_entry_line(line: str, line_no: int) -> AuditEntry:
     parts = line.split("|")
     if len(parts) != 8:
         raise ChainFormatError("expected 8 pipe-separated fields", line_no=line_no)
-    for int_field in (parts[0], parts[1], parts[4]):
-        if _UINT.fullmatch(int_field) is None:
-            raise ChainFormatError(f"bad integer field {int_field!r}", line_no=line_no)
-    seq = int(parts[0])
-    round_index = int(parts[1])
-    inst_kind_index = int(parts[4])
-    institution_id, record_kind = parts[2], parts[3]
+    seq, round_index, institution_id, record_kind, inst_kind_index, commit, prev, digest = parts
     if not _IDENT.match(institution_id):
         raise ChainFormatError("bad institution id", line_no=line_no)
     if record_kind not in RECORD_KINDS:
         raise ChainFormatError(f"unknown record kind {record_kind!r}", line_no=line_no)
     return AuditEntry(
-        sequence_no=seq,
-        round_index=round_index,
-        institution_id=institution_id,
-        record_kind=record_kind,
-        inst_kind_index=inst_kind_index,
-        payload_commitment=_parse_hex_digest(parts[5], line_no),
-        prev_hash=_parse_hex_digest(parts[6], line_no),
-        entry_hash=_parse_hex_digest(parts[7], line_no),
+        _parse_uint(seq, line_no),
+        _parse_uint(round_index, line_no),
+        institution_id,
+        record_kind,
+        _parse_uint(inst_kind_index, line_no),
+        _parse_digest(commit, line_no),
+        _parse_digest(prev, line_no),
+        _parse_digest(digest, line_no),
     )
+
+
+def _verified_head(entries) -> bytes | None:
+    """Head hash of ``entries`` if every sequence number, prev link,
+    per-(institution, kind) count and entry hash is consistent, else None."""
+    prev = GENESIS
+    counters: dict[tuple[str, str], int] = {}
+    for i, e in enumerate(entries):
+        if e.sequence_no != i or e.prev_hash != prev:
+            return None
+        key = (e.institution_id, e.record_kind)
+        if e.inst_kind_index != counters.get(key, 0):
+            return None
+        counters[key] = e.inst_kind_index + 1
+        expected = _entry_hash(e.sequence_no, e.round_index, e.institution_id,
+                               e.record_kind, e.inst_kind_index,
+                               e.payload_commitment, e.prev_hash)
+        if expected != e.entry_hash:
+            return None
+        prev = e.entry_hash
+    return prev
 
 
 class AuditChain:
@@ -243,22 +283,7 @@ class AuditChain:
 
     def verify(self) -> bool:
         """True iff every hash link and the head are consistent."""
-        prev = GENESIS
-        counters: dict[tuple[str, str], int] = {}
-        for i, e in enumerate(self.entries):
-            if e.sequence_no != i or e.prev_hash != prev:
-                return False
-            key = (e.institution_id, e.record_kind)
-            if e.inst_kind_index != counters.get(key, 0):
-                return False
-            counters[key] = e.inst_kind_index + 1
-            expected = _entry_hash(e.sequence_no, e.round_index, e.institution_id,
-                                   e.record_kind, e.inst_kind_index,
-                                   e.payload_commitment, e.prev_hash)
-            if expected != e.entry_hash:
-                return False
-            prev = e.entry_hash
-        return True
+        return _verified_head(self.entries) is not None
 
     def entries_for(self, institution_id: str, record_kind: str) -> list[AuditEntry]:
         return [e for e in self.entries
@@ -276,13 +301,14 @@ class AuditChain:
         if not lines or lines[0].strip() != CHAIN_HEADER:
             raise ChainFormatError("missing audit-chain header", line_no=1)
         chain = cls()
+        counters = chain._counters
         for i, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
-            chain.entries.append(_parse_entry_line(line, i))
-        for e in chain.entries:
+            e = _parse_entry_line(line, i)
+            chain.entries.append(e)
             key = (e.institution_id, e.record_kind)
-            chain._counters[key] = chain._counters.get(key, 0) + 1
+            counters[key] = counters.get(key, 0) + 1
         return chain
 
     @classmethod
@@ -387,27 +413,19 @@ class ComplianceProof:
                 parts = line[2:].split("|")
                 if len(parts) != 3:
                     raise ChainFormatError("expected O|index|salt|payload", line_no=i)
-                if _UINT.fullmatch(parts[0]) is None:
-                    raise ChainFormatError("bad opened index", line_no=i)
-                for hex_field in parts[1:]:
-                    # strictly lowercase hex: case-folded digits must not parse
-                    if _HEX_PAIRS.fullmatch(hex_field) is None:
-                        raise ChainFormatError("bad hex field", line_no=i)
+                idx = _parse_uint(parts[0], i)
+                salt = _parse_digest(parts[1], i, "salt")
                 try:
-                    idx = int(parts[0])
-                    salt = bytes.fromhex(parts[1])
-                    payload = bytes.fromhex(parts[2]).decode("utf-8")
-                except ValueError as exc:
+                    payload = _parse_hex(parts[2], i, "payload").decode("utf-8")
+                except UnicodeDecodeError as exc:
                     raise ChainFormatError(f"bad opened record: {exc}", line_no=i) from exc
-                if len(salt) != DIGEST_LEN:
-                    raise ChainFormatError("bad salt length", line_no=i)
                 opened.append((idx, salt, payload))
             else:
                 raise ChainFormatError("expected H| or O| record", line_no=i)
         return cls(
             claim=fields["claim"],
             institution_id=fields["institution"],
-            chain_head=_parse_hex_digest(fields["chain_head"], 2),
+            chain_head=_parse_digest(fields["chain_head"], 2),
             headers=tuple(headers),
             opened=tuple(opened),
             aggregate=fields["aggregate"],
@@ -494,23 +512,7 @@ def verify_proof(proof: ComplianceProof, trusted_head: bytes,
     claim's predicate against the policy decides compliant/non-compliant.
     """
     # 1. header chain re-hashes to the trusted head
-    prev = GENESIS
-    counters: dict[tuple[str, str], int] = {}
-    for i, h in enumerate(proof.headers):
-        if h.sequence_no != i or h.prev_hash != prev:
-            return Verdict.INVALID
-        key = (h.institution_id, h.record_kind)
-        if h.inst_kind_index != counters.get(key, 0):
-            return Verdict.INVALID
-        counters[key] = h.inst_kind_index + 1
-        expected = _entry_hash(h.sequence_no, h.round_index, h.institution_id,
-                               h.record_kind, h.inst_kind_index,
-                               h.payload_commitment, h.prev_hash)
-        if expected != h.entry_hash:
-            return Verdict.INVALID
-        prev = h.entry_hash
-    head = proof.headers[-1].entry_hash if proof.headers else GENESIS
-    if head != trusted_head or proof.chain_head != trusted_head:
+    if _verified_head(proof.headers) != trusted_head or proof.chain_head != trusted_head:
         return Verdict.INVALID
 
     # 2. opened records re-hash to their commitments and belong to the claim

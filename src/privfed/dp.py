@@ -204,19 +204,25 @@ class AccountantLedger:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         if not lines or not lines[0].startswith(cls.HEADER):
             raise LedgerError(f"not a ledger file: {path}")
-        head = dict(part.split("=", 1) for part in lines[0].split()[1:])
-        ledger = cls(head["institution"],
-                     PrivacyBudget(float(head["cap_epsilon"]), float(head["cap_delta"])))
-        for line in lines[1:]:
+        try:
+            head = dict(part.split("=", 1) for part in lines[0].split()[1:])
+            ledger = cls(head["institution"],
+                         PrivacyBudget(float(head["cap_epsilon"]), float(head["cap_delta"])))
+        except (KeyError, ValueError) as exc:
+            raise LedgerError(f"{path}: line 1: malformed ledger header ({exc!r})") from exc
+        for line_no, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
-            kv = dict(part.split("=", 1) for part in line.split())
-            ledger.charge(
-                int(kv["round"]),
-                PrivacyBudget(float(kv["epsilon"]), float(kv["delta"])),
-                NoiseScale(float(kv["sigma"]), float(kv["clip_norm"]),
-                           bool(int(kv["heuristic"]))),
-            )
+            try:
+                kv = dict(part.split("=", 1) for part in line.split())
+                round_index = int(kv["round"])
+                spend = PrivacyBudget(float(kv["epsilon"]), float(kv["delta"]))
+                scale = NoiseScale(float(kv["sigma"]), float(kv["clip_norm"]),
+                                   bool(int(kv["heuristic"])))
+            except (KeyError, ValueError) as exc:
+                raise LedgerError(
+                    f"{path}: line {line_no}: malformed ledger entry ({exc!r})") from exc
+            ledger.charge(round_index, spend, scale)
         return ledger
 
 

@@ -52,8 +52,8 @@ class BudgetExhausted(RuntimeError):
         )
 
 
-class ChainFormatError(ValueError):
-    """Audit chain / proof / policy file could not be parsed.
+class FormatError(ValueError):
+    """A file read from outside the program could not be parsed.
 
     ``line_no`` is the 1-based line of the first malformed record.
     """
@@ -63,6 +63,14 @@ class ChainFormatError(ValueError):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
+
+
+class ChainFormatError(FormatError):
+    """Audit chain / proof / policy file could not be parsed."""
+
+
+class RecordsFormatError(FormatError):
+    """A report records file could not be parsed."""
 
 
 class ProvabilityError(RuntimeError):

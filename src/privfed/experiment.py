@@ -25,7 +25,7 @@ from .compliance import (
 )
 from .config import ExperimentConfig, config_hash
 from .dp import AccountantLedger, PrivacyBudget, build_privatizer
-from .errors import ConfigurationError
+from .errors import ConfigurationError, RecordsFormatError
 from .federation import Federation, TrainingRun
 from .governance import (
     GovernanceEnv,
@@ -80,28 +80,33 @@ class ExperimentReport:
 
     @classmethod
     def from_records(cls, records: list[dict]) -> "ExperimentReport":
-        meta = next(r for r in records if r["kind"] == "meta")
-        report = cls(config_hash=meta["config_hash"], seed=meta["seed"],
-                     status=meta["status"])
-        for r in records:
-            body = {k: v for k, v in r.items() if k not in ("kind", "config_hash")}
-            kind = r["kind"]
-            if kind == "round":
-                report.rounds.append(body)
-            elif kind == "final-metric":
-                report.final_metrics.append(body)
-            elif kind == "attack":
-                report.attack_results.append(body)
-            elif kind == "governance-episode":
-                report.governance_curve.append(body)
-            elif kind == "governance-summary":
-                report.governance_summary = body
-            elif kind == "compliance":
-                report.compliance_verdicts.append(body)
-            elif kind == "timing-simulated":
-                report.simulated_ms = body["total_ms"]
-            elif kind == "timing-wallclock":
-                report.wall_seconds = body["seconds"]
+        meta = next((r for r in records if r["kind"] == "meta"), None)
+        if meta is None:
+            raise RecordsFormatError("no meta record")
+        try:
+            report = cls(config_hash=meta["config_hash"], seed=meta["seed"],
+                         status=meta["status"])
+            for r in records:
+                body = {k: v for k, v in r.items() if k not in ("kind", "config_hash")}
+                kind = r["kind"]
+                if kind == "round":
+                    report.rounds.append(body)
+                elif kind == "final-metric":
+                    report.final_metrics.append(body)
+                elif kind == "attack":
+                    report.attack_results.append(body)
+                elif kind == "governance-episode":
+                    report.governance_curve.append(body)
+                elif kind == "governance-summary":
+                    report.governance_summary = body
+                elif kind == "compliance":
+                    report.compliance_verdicts.append(body)
+                elif kind == "timing-simulated":
+                    report.simulated_ms = body["total_ms"]
+                elif kind == "timing-wallclock":
+                    report.wall_seconds = body["seconds"]
+        except KeyError as exc:
+            raise RecordsFormatError(f"record lacks field {exc}") from exc
         return report
 
 
@@ -110,7 +115,19 @@ def records_to_lines(records: list[dict]) -> list[str]:
 
 
 def parse_record_lines(lines: list[str]) -> list[dict]:
-    return [json.loads(line) for line in lines if line.strip()]
+    records = []
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise RecordsFormatError(f"not JSON ({exc})", line_no=line_no) from exc
+        if not isinstance(record, dict) or not isinstance(record.get("kind"), str):
+            raise RecordsFormatError("expected a JSON object with a string \"kind\"",
+                                     line_no=line_no)
+        records.append(record)
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,16 @@ class TestVerifyAudit:
                      "--policy", str(artifacts["policy"])]) == 3
         assert "line 3" in capsys.readouterr().err
 
+    def test_leading_zero_sequence_exits_three(self, artifacts, tmp_path, capsys):
+        # "0" before the first entry's sequence number: same value, other bytes
+        header, rest = artifacts["chain"].read_text().split("\n", 1)
+        padded = tmp_path / "padded.chain"
+        padded.write_text(f"{header}\n0{rest}")
+        assert main(["verify-audit", "--chain", str(padded),
+                     "--proof", str(artifacts["proof"]),
+                     "--policy", str(artifacts["policy"])]) == 3
+        assert "line 2" in capsys.readouterr().err
+
     def test_reads_only_the_three_inputs(self, artifacts, monkeypatch):
         # the auditor workflow must not touch datasets, models, or reports
         allowed = {Path(p).name for p in artifacts.values()}
@@ -120,6 +130,15 @@ class TestSweepAndReport:
         records = tmp_path / "out" / "report.records"
         assert main(["report", "--records", str(records)]) == 0
         assert "privfed report" in capsys.readouterr().out
+
+
+    def test_report_on_malformed_records_exits_three(self, tmp_path, capsys):
+        records = tmp_path / "report.records"
+        records.write_text('{"kind": "meta", "seed": 1}\n{"kind": "round", \n')
+        assert main(["report", "--records", str(records)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse failure: line 2:")
+        assert "Traceback" not in err
 
 
 def test_govern_train_smoke(tmp_path, capsys):

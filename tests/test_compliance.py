@@ -4,8 +4,10 @@ import time
 import pytest
 
 from privfed.compliance import (
+    CHAIN_HEADER,
     CLAIM_REGION,
     CLAIM_SIGMA,
+    PROOF_HEADER,
     AuditChain,
     AuditRecorder,
     ComplianceProof,
@@ -104,6 +106,60 @@ class TestChain:
         with pytest.raises(ChainFormatError) as exc:
             AuditChain.read(path)
         assert exc.value.line_no == 2
+
+
+# (field index in an entry line, respelling): each respelling is one the
+# writer never produces, so both readers must refuse it
+NON_CANONICAL_FIELDS = [
+    pytest.param(0, lambda f: "0" + f, id="seq-leading-zero"),
+    pytest.param(1, lambda f: "0" + f, id="round-leading-zero"),
+    pytest.param(4, lambda f: "0" + f, id="inst-kind-index-leading-zero"),
+    pytest.param(0, lambda f: "+1", id="plus-sign"),
+    pytest.param(0, lambda f: "1_0", id="underscore"),
+    pytest.param(0, lambda f: " 1", id="leading-space"),
+    pytest.param(0, lambda f: "-1", id="minus-sign"),
+    pytest.param(0, lambda f: "\u0661", id="arabic-indic-digit"),
+    pytest.param(5, str.upper, id="uppercase-commitment"),
+    pytest.param(7, str.upper, id="uppercase-entry-hash"),
+    pytest.param(6, lambda f: f[:62], id="prev-hash-62-chars"),
+    pytest.param(6, lambda f: f + "ab", id="prev-hash-66-chars"),
+]
+
+
+class TestCanonicalFields:
+    def entry_line(self, field, respell):
+        chain = AuditChain()
+        chain.append(1, "a", "budget-charge", {"x": 1}, salt_for(6, 0))
+        parts = chain.entries[0].to_line().split("|")
+        parts[field] = respell(parts[field])
+        return "|".join(parts)
+
+    @pytest.mark.parametrize("field,respell", NON_CANONICAL_FIELDS)
+    def test_chain_line_refused(self, field, respell):
+        with pytest.raises(ChainFormatError) as exc:
+            AuditChain.parse_lines([CHAIN_HEADER, self.entry_line(field, respell)])
+        assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("field,respell", NON_CANONICAL_FIELDS)
+    def test_proof_header_line_refused(self, field, respell):
+        claim = (f"claim=budget-within-cap institution=a chain_head={'0' * 64} "
+                 "aggregate=0.0")
+        line = "H|" + self.entry_line(field, respell)
+        with pytest.raises(ChainFormatError) as exc:
+            ComplianceProof.parse_lines([PROOF_HEADER, claim, line])
+        assert exc.value.line_no == 3
+
+    def test_canonical_line_accepted(self):
+        chain = AuditChain.parse_lines([CHAIN_HEADER, self.entry_line(0, str)])
+        assert chain.verify()
+
+    def test_leading_zero_chain_is_invalid(self):
+        recorder, ledgers = charged_recorder({"a": [0.5]})
+        proof = prove_budget_compliance(recorder, ledgers["a"])
+        header, first, rest = ("\n".join(recorder.chain.to_lines()) + "\n").split("\n", 2)
+        chain_text = f"{header}\n0{first}\n{rest}"
+        proof_text = "\n".join(proof.to_lines()) + "\n"
+        assert audit_verdict(chain_text, proof_text, policy()) is Verdict.INVALID
 
 
 class TestProofs:

@@ -190,6 +190,21 @@ class TestAccountant:
         assert loaded.entries == ledger.entries
 
 
+    @pytest.mark.parametrize("bad_line", [
+        "round=1 epsilon=0.25",                  # missing fields
+        "round=x epsilon=0.25 delta=1e-4 sigma=1.0 clip_norm=1.0 heuristic=0",
+        "round=1 epsilon=-1 delta=1e-4 sigma=1.0 clip_norm=1.0 heuristic=0",
+        "garbage",
+    ])
+    def test_malformed_line_raises_ledger_error(self, tmp_path, bad_line):
+        ledger = AccountantLedger("inst07", PrivacyBudget(3.0, 1e-2))
+        ledger.charge(0, PrivacyBudget(0.25, 1e-4), NoiseScale(1.0, 1.0))
+        path = tmp_path / "ledger.txt"
+        path.write_text("\n".join(ledger.to_lines() + [bad_line]) + "\n")
+        with pytest.raises(LedgerError, match="line 3"):
+            AccountantLedger.read(path)
+
+
 class TestSchedule:
     def test_schedule_fits_cap_exactly(self):
         # awkward division cases where naive repeated addition overshoots

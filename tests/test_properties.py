@@ -1,0 +1,94 @@
+"""Property tests for the audit readers: typed failures on any input, exact
+write -> read round trips."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from privfed.compliance import (
+    CHAIN_HEADER,
+    POLICY_HEADER,
+    PROOF_HEADER,
+    CLAIM_REGION,
+    RECORD_KINDS,
+    AuditChain,
+    AuditRecorder,
+    ComplianceProof,
+    PolicySpec,
+    prove_compliance,
+    split_record_lines,
+)
+from privfed.errors import ChainFormatError
+from privfed.seeding import salt_for
+
+# derandomized so that the suite is repeatable; small so that it stays quick
+FAST = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def written_files() -> dict[str, bytes]:
+    """A valid chain, proof and policy file, as the writers produce them."""
+    recorder = AuditRecorder(seed=0)
+    for i in range(3):
+        recorder.record_region_transfer(i, "a", "us-east")
+    proof = prove_compliance(recorder, "a", CLAIM_REGION)
+    policy = PolicySpec(1.0, 0.5, frozenset({"us-east"}), 3)
+    return {name: ("\n".join(lines) + "\n").encode()
+            for name, lines in (("chain", recorder.chain.to_lines()),
+                                ("proof", proof.to_lines()),
+                                ("policy", policy.to_lines()))}
+
+
+READERS = {"chain": AuditChain, "proof": ComplianceProof, "policy": PolicySpec}
+HEADERS = {"chain": CHAIN_HEADER, "proof": PROOF_HEADER, "policy": POLICY_HEADER}
+
+
+def spliced(data: bytes, at: int, junk: bytes, drop: int) -> bytes:
+    at %= len(data) + 1
+    return data[:at] + junk + data[at + drop:]
+
+
+def reader_inputs(name: str):
+    """Arbitrary bytes, arbitrary bytes after a valid header line, and a valid
+    file with a random splice, so that parsing gets past its first lines."""
+    return st.one_of(
+        st.binary(max_size=300),
+        st.binary(max_size=300).map(lambda b: HEADERS[name].encode() + b"\n" + b),
+        st.builds(spliced, st.just(written_files()[name]), st.integers(0, 10**4),
+                  st.binary(max_size=6), st.integers(0, 6)),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_readers_raise_only_typed_errors(name):
+    @FAST
+    @given(reader_inputs(name))
+    def check(data):
+        try:
+            READERS[name].parse_lines(split_record_lines(data))
+        except (ChainFormatError, UnicodeDecodeError):
+            pass
+
+    check()
+
+
+# words from a fixed alphabet: st.text() would first build a Unicode table,
+# which costs seconds once per process
+words = st.lists(st.sampled_from("ab0._-"), min_size=1, max_size=4).map("".join)
+appends = st.lists(
+    st.tuples(st.integers(0, 10**6), words, st.sampled_from(RECORD_KINDS),
+              st.dictionaries(words, st.integers() | words, max_size=2)),
+    max_size=12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(appends, st.integers(0, 2**32))
+def test_chain_write_read_round_trip(records, seed):
+    chain = AuditChain()
+    for i, (round_index, inst, kind, payload) in enumerate(records):
+        chain.append(round_index, inst, kind, payload, salt_for(seed, i))
+    text = "\n".join(chain.to_lines()) + "\n"
+    loaded = AuditChain.parse_lines(split_record_lines(text.encode()))
+    assert loaded.to_lines() == chain.to_lines()
+    assert loaded.head_hash == chain.head_hash
+    assert loaded.verify()
