@@ -9,10 +9,12 @@ Subcommands:
   report        re-render a table from a saved records file
 
 Exit codes: run distinguishes success (0), budget exhaustion (4), and round
-failure (5); config validation problems exit 2 after listing every violated
-field. verify-audit exits 0 compliant, 1 non-compliant, 2 invalid or
-tampered, 3 unparseable input (reporting the first malformed line); report
-exits 3 on an unreadable or malformed records file.
+failure (5); config validation problems (an unreadable config file and
+non-finite numbers included), counts below 1 (``--episodes``, ``--pairs``)
+and a bad ``--grid`` epsilon exit 2 after listing every violated field. verify-audit exits 0 compliant, 1 non-compliant, 2 invalid
+or tampered, 3 unparseable input (reporting the first malformed line);
+report exits 3 on an unreadable or malformed records file, wrong-typed
+fields included.
 """
 
 from __future__ import annotations
@@ -34,7 +36,12 @@ from .compliance import (
 )
 from .config import ExperimentConfig, config_hash, load_config
 from .dp import NoiseScale
-from .errors import ChainFormatError, ConfigValidationError, RecordsFormatError
+from .errors import (
+    ChainFormatError,
+    ConfigurationError,
+    ConfigValidationError,
+    RecordsFormatError,
+)
 from .experiment import (
     ExperimentReport,
     emit_report,
@@ -99,6 +106,8 @@ def cmd_attack(args) -> int:
     """Overfit study: no-DP vs strong-DP advantage, plus calibration."""
     from .attacks import overfit_study, untrained_study, leakage_signal
 
+    if args.pairs < 1:
+        raise ConfigValidationError(["--pairs: must be >= 1"])
     base_seed = args.seed if args.seed is not None else 0
     strong = NoiseScale(args.strong_sigma, 1.0)
     rows = []
@@ -136,10 +145,12 @@ def cmd_attack(args) -> int:
 
 
 def cmd_govern_train(args) -> int:
+    if args.episodes is not None and args.episodes < 1:
+        raise ConfigValidationError(["--episodes: must be >= 1"])
     config = _load_config(args)
     weights = RewardWeights(config.governance_alpha, config.governance_beta,
                             config.governance_gamma)
-    episodes = args.episodes or config.governance_episodes
+    episodes = config.governance_episodes if args.episodes is None else args.episodes
     env = GovernanceEnv(ScenarioConfig(), weights,
                         seed=derive_seed(config.seed, "governance"))
     training = train_controller(env, episodes, derive_seed(config.seed, "controller"))
@@ -268,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
         print("config validation failed:", file=sys.stderr)
         for error in exc.errors:
             print(f"  {error}", file=sys.stderr)
+        return 2
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -50,6 +50,8 @@ _CLAIM_KIND = {CLAIM_BUDGET: "budget-charge",
                CLAIM_REGION: "region-transfer"}
 
 _IDENT = re.compile(r"^[A-Za-z0-9._-]+$")
+# a proof's aggregate: a float's repr, a comma list of regions, or "-"
+_AGGREGATE = re.compile(r"[A-Za-z0-9._,+-]+")
 
 
 class Verdict(Enum):
@@ -92,18 +94,15 @@ class PolicySpec:
 
     @classmethod
     def parse_lines(cls, lines: list[str]) -> "PolicySpec":
-        if not lines or lines[0].strip() != POLICY_HEADER:
-            raise ChainFormatError("missing policy header", line_no=1)
+        lines = _file_records(lines, POLICY_HEADER, "policy")
         fields = {}
         for i, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
             if "=" not in line:
                 raise ChainFormatError("expected key=value", line_no=i)
             key, value = line.split("=", 1)
-            fields[key.strip()] = value.strip()
+            fields[key] = value
         try:
-            return cls(
+            spec = cls(
                 max_epsilon_per_institution=float(fields["max_epsilon_per_institution"]),
                 min_sigma_floor=float(fields["min_sigma_floor"]),
                 allowed_regions=frozenset(fields["allowed_regions"].split(",")),
@@ -111,6 +110,9 @@ class PolicySpec:
             )
         except (KeyError, ValueError, ConfigurationError) as exc:
             raise ChainFormatError(f"bad policy file: {exc}") from exc
+        if spec.to_lines() != lines:
+            raise ChainFormatError("policy file is not in its written form")
+        return spec
 
     @classmethod
     def read(cls, path) -> "PolicySpec":
@@ -123,6 +125,20 @@ def split_record_lines(text: str | bytes) -> list[str]:
     if isinstance(text, bytes):
         text = text.decode("utf-8")  # UnicodeDecodeError signals corruption
     return text.split("\n")
+
+
+def _file_records(lines: list[str], header: str, what: str) -> list[str]:
+    """A file's lines as the writer wrote them: the exact header line first.
+
+    One final newline may end the file (it splits off one empty last
+    string, dropped here); any other empty line is left for the record
+    parser to refuse, so no second spelling of a file reads the same.
+    """
+    if len(lines) > 1 and lines[-1] == "":
+        lines = lines[:-1]
+    if not lines or lines[0] != header:
+        raise ChainFormatError(f"missing {what} header", line_no=1)
+    return lines
 
 
 def canonical_payload(payload: dict) -> str:
@@ -298,13 +314,10 @@ class AuditChain:
     @classmethod
     def parse_lines(cls, lines: list[str]) -> "AuditChain":
         """Structural parse only; call verify() to check hash consistency."""
-        if not lines or lines[0].strip() != CHAIN_HEADER:
-            raise ChainFormatError("missing audit-chain header", line_no=1)
+        lines = _file_records(lines, CHAIN_HEADER, "audit-chain")
         chain = cls()
         counters = chain._counters
         for i, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
             e = _parse_entry_line(line, i)
             chain.entries.append(e)
             key = (e.institution_id, e.record_kind)
@@ -370,11 +383,8 @@ class ComplianceProof:
     aggregate: str
 
     def to_lines(self) -> list[str]:
-        lines = [
-            PROOF_HEADER,
-            f"claim={self.claim} institution={self.institution_id} "
-            f"chain_head={self.chain_head.hex()} aggregate={self.aggregate}",
-        ]
+        lines = [PROOF_HEADER, _claim_line(self.claim, self.institution_id,
+                                           self.chain_head.hex(), self.aggregate)]
         lines += ["H|" + h.to_line() for h in self.headers]
         lines += [
             f"O|{idx}|{salt.hex()}|{payload.encode('utf-8').hex()}"
@@ -387,12 +397,11 @@ class ComplianceProof:
 
     @classmethod
     def parse_lines(cls, lines: list[str]) -> "ComplianceProof":
-        if not lines or lines[0].strip() != PROOF_HEADER:
-            raise ChainFormatError("missing proof header", line_no=1)
+        lines = _file_records(lines, PROOF_HEADER, "proof")
         if len(lines) < 2:
             raise ChainFormatError("missing claim line", line_no=2)
         fields = {}
-        for token in lines[1].split():
+        for token in lines[1].split(" "):
             if "=" not in token:
                 raise ChainFormatError("bad claim line", line_no=2)
             key, value = token.split("=", 1)
@@ -402,11 +411,15 @@ class ComplianceProof:
             raise ChainFormatError(f"claim line missing {sorted(missing)}", line_no=2)
         if fields["claim"] not in CLAIMS:
             raise ChainFormatError(f"unknown claim {fields['claim']!r}", line_no=2)
+        if not (_IDENT.fullmatch(fields["institution"])
+                and _AGGREGATE.fullmatch(fields["aggregate"])):
+            raise ChainFormatError("bad institution or aggregate", line_no=2)
+        if lines[1] != _claim_line(fields["claim"], fields["institution"],
+                                   fields["chain_head"], fields["aggregate"]):
+            raise ChainFormatError("claim line is not in its written form", line_no=2)
         headers: list[AuditEntry] = []
         opened: list[tuple[int, bytes, str]] = []
         for i, line in enumerate(lines[2:], start=3):
-            if not line.strip():
-                continue
             if line.startswith("H|"):
                 headers.append(_parse_entry_line(line[2:], i))
             elif line.startswith("O|"):
@@ -434,6 +447,12 @@ class ComplianceProof:
     @classmethod
     def read(cls, path) -> "ComplianceProof":
         return cls.parse_lines(split_record_lines(Path(path).read_text(encoding="utf-8")))
+
+
+def _claim_line(claim: str, institution_id: str, chain_head_hex: str,
+                aggregate: str) -> str:
+    return (f"claim={claim} institution={institution_id} "
+            f"chain_head={chain_head_hex} aggregate={aggregate}")
 
 
 def _compute_aggregate(claim: str, payloads: list[dict]) -> str:

@@ -9,11 +9,12 @@ hashes are replaying the same experiment.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .compliance import PolicySpec
-from .errors import ConfigValidationError
+from .errors import ConfigurationError, ConfigValidationError
 from .federation import AGG_PLAIN, AGG_SECURE, NetworkConfig
 from .tasks import TASK_KINDS
 
@@ -74,7 +75,9 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Collect every violated field and raise once, listing them all."""
-        errors = []
+        errors = [f"{self.key_for(f.name)}: must be a finite number"
+                  for f in fields(self) if _FIELD_KINDS[f.name] == "float"
+                  and not math.isfinite(getattr(self, f.name))]
         if self.task_kind not in TASK_KINDS:
             errors.append(f"task.kind: unknown kind {self.task_kind!r}")
         if self.task_feature_dim < 1:
@@ -136,6 +139,11 @@ class ExperimentConfig:
             errors.append("policy.max_rounds: must be >= 1")
         if self.rounds > self.policy_max_rounds:
             errors.append("rounds: exceeds policy.max_rounds")
+        if not any(e.startswith("policy.") for e in errors):
+            try:  # what PolicySpec checks beyond the above: the region tags
+                self.policy_spec()
+            except ConfigurationError as exc:
+                errors.append(f"policy.allowed_regions: {exc}")
         if errors:
             raise ConfigValidationError(errors)
 
@@ -250,7 +258,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigValidationError([f"cannot read config file: {exc}"]) from exc
+    return parse_config_text(text)
 
 
 def write_config(config: ExperimentConfig, path) -> None:

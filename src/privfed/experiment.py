@@ -83,35 +83,74 @@ class ExperimentReport:
         meta = next((r for r in records if r["kind"] == "meta"), None)
         if meta is None:
             raise RecordsFormatError("no meta record")
-        try:
-            report = cls(config_hash=meta["config_hash"], seed=meta["seed"],
-                         status=meta["status"])
-            for r in records:
-                body = {k: v for k, v in r.items() if k not in ("kind", "config_hash")}
-                kind = r["kind"]
-                if kind == "round":
-                    report.rounds.append(body)
-                elif kind == "final-metric":
-                    report.final_metrics.append(body)
-                elif kind == "attack":
-                    report.attack_results.append(body)
-                elif kind == "governance-episode":
-                    report.governance_curve.append(body)
-                elif kind == "governance-summary":
-                    report.governance_summary = body
-                elif kind == "compliance":
-                    report.compliance_verdicts.append(body)
-                elif kind == "timing-simulated":
-                    report.simulated_ms = body["total_ms"]
-                elif kind == "timing-wallclock":
-                    report.wall_seconds = body["seconds"]
-        except KeyError as exc:
-            raise RecordsFormatError(f"record lacks field {exc}") from exc
+        for r in records:
+            _check_record_fields(r)
+        report = cls(config_hash=meta["config_hash"], seed=meta["seed"],
+                     status=meta["status"])
+        for r in records:
+            body = {k: v for k, v in r.items() if k not in ("kind", "config_hash")}
+            kind = r["kind"]
+            if kind == "round":
+                report.rounds.append(body)
+            elif kind == "final-metric":
+                report.final_metrics.append(body)
+            elif kind == "attack":
+                report.attack_results.append(body)
+            elif kind == "governance-episode":
+                report.governance_curve.append(body)
+            elif kind == "governance-summary":
+                report.governance_summary = body
+            elif kind == "compliance":
+                report.compliance_verdicts.append(body)
+            elif kind == "timing-simulated":
+                report.simulated_ms = body["total_ms"]
+            elif kind == "timing-wallclock":
+                report.wall_seconds = body["seconds"]
         return report
 
 
+# The fields a report is rebuilt and rendered from, per record kind:
+# name -> (type, required). Other fields pass through unchecked.
+_NUMBER = (int, float)
+_METRICS = {"accuracy": (_NUMBER, False), "auroc": (_NUMBER, False),
+            "mae": (_NUMBER, False)}
+_RECORD_FIELDS = {
+    "meta": {"config_hash": (str, True), "seed": (int, True), "status": (str, True)},
+    "round": _METRICS,
+    "final-metric": {"setting": (str, False), **_METRICS},
+    "attack": {"scenario": (str, True), "attack_accuracy": (_NUMBER, True),
+               "advantage": (_NUMBER, True), "auc": (_NUMBER, True),
+               "num_queries": (int, True)},
+    "governance-summary": {
+        f"{who}_{what}": (_NUMBER, True) for who in ("trained", "baseline")
+        for what in ("violations", "leakage", "reward")},
+    "compliance": {"institution": (str, True), "claim": (str, True),
+                   "verdict": (str, True)},
+    "timing-simulated": {"total_ms": (_NUMBER, True)},
+    "timing-wallclock": {"seconds": (_NUMBER, True)},
+}
+
+
+def _check_record_fields(record: dict) -> None:
+    """RecordsFormatError unless every known field has its type (no bools)."""
+    for name, (kind, required) in _RECORD_FIELDS.get(record["kind"], {}).items():
+        if name not in record:
+            if required:
+                raise RecordsFormatError(f"{record['kind']} record lacks field {name!r}")
+            continue
+        value = record[name]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise RecordsFormatError(
+                f"{record['kind']} record field {name!r} has the wrong type "
+                f"({type(value).__name__})")
+
+
 def records_to_lines(records: list[dict]) -> list[str]:
-    return [json.dumps(r, sort_keys=True) for r in records]
+    return [json.dumps(r, sort_keys=True, allow_nan=False) for r in records]
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def parse_record_lines(lines: list[str]) -> list[dict]:
@@ -120,7 +159,7 @@ def parse_record_lines(lines: list[str]) -> list[dict]:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = json.loads(line, parse_constant=_refuse_constant)
         except ValueError as exc:
             raise RecordsFormatError(f"not JSON ({exc})", line_no=line_no) from exc
         if not isinstance(record, dict) or not isinstance(record.get("kind"), str):
@@ -303,7 +342,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
             "index": e.index, "t_ms": e.t_ms, "kind": e.kind, "round": e.round_index,
             "source": e.source, "target": e.target, "payload": e.payload,
             "note": e.note,
-        }, sort_keys=True)
+        }, sort_keys=True, allow_nan=False)
         for e in fed.trace
     ]
     (out / "trace.records").write_text("\n".join(trace_lines) + "\n", encoding="utf-8")
@@ -343,8 +382,11 @@ def sweep_settings(grid: tuple[str, ...]) -> list[tuple[str, float | None]]:
         if token in ("inf", "none", SETTING_NO_DP):
             settings.append((SETTING_NO_DP, None))
         else:
-            eps = float(token)
-            if not eps > 0:
+            try:
+                eps = float(token)
+            except ValueError:
+                eps = math.nan
+            if not (eps > 0 and math.isfinite(eps)):
                 raise ConfigurationError(f"bad epsilon {token!r} in sweep grid")
             label = f"eps={int(eps)}" if eps.is_integer() else f"eps={eps}"
             settings.append((label, eps))

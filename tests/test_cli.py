@@ -1,10 +1,12 @@
 import builtins
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from privfed.cli import main
 from privfed.config import ExperimentConfig, write_config
+from privfed.experiment import report_body_lines
 
 
 def cfg_file(tmp_path, **overrides) -> Path:
@@ -145,3 +147,76 @@ def test_govern_train_smoke(tmp_path, capsys):
     config = cfg_file(tmp_path, governance_enabled=True, governance_episodes=5)
     assert main(["govern-train", "--config", str(config), "--episodes", "5"]) == 0
     assert "violations" in capsys.readouterr().out
+
+
+def test_govern_train_zero_episodes_exits_2(tmp_path, capsys):
+    config = cfg_file(tmp_path, governance_enabled=True, governance_episodes=5)
+    assert main(["govern-train", "--config", str(config), "--episodes", "0"]) == 2
+    assert "--episodes" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.records").exists()
+
+
+def test_attack_zero_pairs_exits_2(tmp_path, capsys):
+    assert main(["attack", "--pairs", "0", "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "--pairs" in captured.err and "nan" not in captured.out
+
+
+@pytest.mark.parametrize("key,value", [("dp.epsilon", "inf"), ("lr", "nan"),
+                                       ("network.latency_ms", "inf")])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, key, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key}={value}\noutput_dir={tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert f"{key}: must be a finite number" in capsys.readouterr().err
+
+
+def test_report_on_wrong_typed_field_exits_3(tmp_path, capsys):
+    records = tmp_path / "report.records"
+    records.write_text('{"kind": "meta", "config_hash": "x", "seed": 1, "status": "completed"}\n'
+                       '{"kind": "round", "accuracy": "high"}\n')
+    assert main(["report", "--records", str(records)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse failure:") and "accuracy" in err
+
+
+# A small secure-aggregation DP run. The regression task's MAE moves with
+# the last bit of the masks (which cancel only up to float rounding), so the
+# report body pins the mask bits; the digests were recorded when every pair
+# mask came from its own numpy Philox generator.
+GOLDEN_CONFIG = ("task.num_samples=300\ninstitutions.count=5\nrounds=2\nlocal_epochs=2\n"
+                 "lr=1.0\ndp.enabled=true\nagg.mode=secure\nseed=11\noutput_dir=out\n")
+GOLDEN_CHAIN = "64acf36681600708cdce9df6aa7c84acec5eb70e2ccead404130df9544af97fb"
+GOLDEN_PROOF = "da5dd446f7043bd17b11631a3222a9cd7d8889615bdd5e4b06d9db84d7106187"
+GOLDEN_BODY = {
+    "binary-classification": "9a4ea3fd55c023d2cce0e4e8fbf5623bc8b703ce4d67e76bef7c368fb9bd033a",
+    "regression": "907d18e831d02bc9070de4af9c9a21ba702e26731aabc7fae2757dbf6e195197",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_BODY))
+def test_secure_dp_run_matches_golden_digests(tmp_path, monkeypatch, kind):
+    monkeypatch.chdir(tmp_path)  # output_dir is part of the config hash
+    Path("exp.cfg").write_text(f"task.kind={kind}\n" + GOLDEN_CONFIG)
+    assert main(["run", "--config", "exp.cfg", "--format", "records"]) == 0
+    out = Path("out")
+
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    body = "\n".join(report_body_lines(out / "report.records")).encode()
+    assert digest(body) == GOLDEN_BODY[kind]
+    assert digest((out / "audit.chain").read_bytes()) == GOLDEN_CHAIN
+    assert digest((out / "inst00.budget.proof").read_bytes()) == GOLDEN_PROOF
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "missing.cfg"],
+    ["sweep", "--grid", "abc"],
+    ["sweep", "--grid=-1"],
+    ["sweep", "--grid", "1e400"],
+])
+def test_bad_config_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -17,6 +17,7 @@ from privfed.compliance import (
     audit_verdict,
     prove_budget_compliance,
     prove_compliance,
+    split_record_lines,
     verify_proof,
 )
 from privfed.dp import AccountantLedger, NoiseScale, PrivacyBudget
@@ -108,6 +109,57 @@ class TestChain:
         assert exc.value.line_no == 2
 
 
+def region_files():
+    """The writer's bytes for a 3-entry region chain, one proof and a policy."""
+    recorder = AuditRecorder(seed=0)
+    for i, inst in enumerate(("a", "b", "c")):
+        recorder.record_region_transfer(i, inst, "us-east")
+    proof = prove_compliance(recorder, "a", CLAIM_REGION)
+    return {name: "\n".join(lines) + "\n"
+            for name, lines in (("chain", recorder.chain.to_lines()),
+                                ("proof", proof.to_lines()),
+                                ("policy", policy().to_lines()))}
+
+
+def replace_line(index, edit):
+    def respell(text):
+        lines = text.split("\n")
+        lines[index] = edit(lines[index])
+        return "\n".join(lines)
+    return respell
+
+
+# (file, edit): each gives a file the writer never produces, at the level of
+# whole lines rather than fields, so every reader must refuse it
+NON_CANONICAL_FILES = [
+    pytest.param("chain", replace_line(2, lambda l: "\n" + l), id="chain-empty-line-inside"),
+    pytest.param("chain", lambda t: t + "\n", id="chain-second-final-newline"),
+    pytest.param("chain", lambda t: "\n" + t, id="chain-leading-empty-line"),
+    pytest.param("chain", replace_line(0, lambda l: l + "  \r"), id="chain-header-space-cr"),
+    pytest.param("chain", replace_line(0, lambda l: " " + l), id="chain-header-leading-space"),
+    pytest.param("chain", replace_line(1, lambda l: l + " "), id="chain-entry-trailing-space"),
+    pytest.param("proof", replace_line(1, lambda l: l.replace(" ", "   ")),
+                 id="proof-claim-tripled-spaces"),
+    pytest.param("proof", replace_line(1, lambda l: l.replace(" ", "\t")),
+                 id="proof-claim-tabs"),
+    pytest.param("proof", replace_line(1, lambda l: " ".join(reversed(l.split(" ")))),
+                 id="proof-claim-keys-reordered"),
+    pytest.param("proof", replace_line(1, lambda l: l + " "), id="proof-claim-trailing-space"),
+    pytest.param("proof", replace_line(1, lambda l: l + "\r"), id="proof-claim-trailing-cr"),
+    pytest.param("proof", replace_line(3, lambda l: "\n" + l), id="proof-empty-line-inside"),
+    pytest.param("proof", lambda t: t + "\n", id="proof-second-final-newline"),
+    pytest.param("proof", replace_line(0, lambda l: l + "\r"), id="proof-header-cr"),
+    pytest.param("policy", replace_line(2, lambda l: "\n" + l), id="policy-empty-line-inside"),
+    pytest.param("policy", replace_line(0, lambda l: l + " "), id="policy-header-space"),
+    pytest.param("policy", replace_line(1, lambda l: l.replace("=", " = ")),
+                 id="policy-spaced-equals"),
+    pytest.param("policy", replace_line(1, lambda l: l + "0"), id="policy-float-respelled"),
+    pytest.param("policy", lambda t: t + "max_rounds=100\n", id="policy-repeated-key"),
+]
+
+READERS = {"chain": AuditChain, "proof": ComplianceProof, "policy": PolicySpec}
+
+
 # (field index in an entry line, respelling): each respelling is one the
 # writer never produces, so both readers must refuse it
 NON_CANONICAL_FIELDS = [
@@ -160,6 +212,28 @@ class TestCanonicalFields:
         chain_text = f"{header}\n0{first}\n{rest}"
         proof_text = "\n".join(proof.to_lines()) + "\n"
         assert audit_verdict(chain_text, proof_text, policy()) is Verdict.INVALID
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_written_bytes_read_back(self, name):
+        text = region_files()[name]
+        for form in (text, text[:-1]):  # the final newline is optional
+            assert READERS[name].parse_lines(split_record_lines(form)).to_lines() == \
+                text[:-1].split("\n")
+
+    @pytest.mark.parametrize("name,edit", NON_CANONICAL_FILES)
+    def test_respelled_file_refused(self, name, edit):
+        files = region_files()
+        respelled = edit(files[name])
+        assert respelled != files[name]
+        with pytest.raises(ChainFormatError):
+            READERS[name].parse_lines(split_record_lines(respelled))
+        if name != "policy":
+            files[name] = respelled
+            assert audit_verdict(files["chain"], files["proof"], policy()) is Verdict.INVALID
+
+    def test_pristine_files_compliant(self):
+        files = region_files()
+        assert audit_verdict(files["chain"], files["proof"], policy()) is Verdict.COMPLIANT
 
 
 class TestProofs:

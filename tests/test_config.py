@@ -87,3 +87,23 @@ class TestValidation:
         cfg = dataclasses.replace(ExperimentConfig(), rounds=50, policy_max_rounds=10)
         with pytest.raises(ConfigValidationError):
             cfg.validate()
+
+    @pytest.mark.parametrize("key,value", [
+        ("dp.epsilon", "inf"), ("lr", "nan"), ("dp.clip_norm", "inf"),
+        ("network.latency_ms", "inf"), ("governance.alpha", "nan"),
+        ("task.noise", "nan"), ("dp.epsilon", "-inf"),
+    ])
+    def test_non_finite_numbers_rejected(self, key, value):
+        with pytest.raises(ConfigValidationError) as exc:
+            parse_config_text(f"{key}={value}\n")
+        assert f"{key}: must be a finite number" in exc.value.errors
+
+    def test_bad_region_tag_listed(self):
+        with pytest.raises(ConfigValidationError) as exc:
+            parse_config_text("policy.allowed_regions=us east\n")
+        assert exc.value.errors == ["policy.allowed_regions: bad region tag 'us east'"]
+
+    def test_unreadable_file_is_a_validation_error(self, tmp_path):
+        with pytest.raises(ConfigValidationError) as exc:
+            load_config(tmp_path / "missing.cfg")
+        assert "cannot read config file" in exc.value.errors[0]

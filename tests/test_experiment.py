@@ -3,7 +3,7 @@ import pytest
 
 from privfed.compliance import AuditChain, ComplianceProof, PolicySpec, Verdict, verify_proof
 from privfed.config import ExperimentConfig, config_hash
-from privfed.errors import ConfigValidationError
+from privfed.errors import ConfigValidationError, RecordsFormatError
 from privfed.experiment import (
     ExperimentReport,
     parse_record_lines,
@@ -132,3 +132,35 @@ class TestSweep:
         report = run_experiment(small_config(), tmp_path)
         text = render_table(report)
         assert "membership inference" not in text
+
+
+class TestRecordsAreStrictJson:
+    def test_non_finite_value_is_not_written(self):
+        with pytest.raises(ValueError):
+            records_to_lines([{"kind": "round", "accuracy": float("nan")}])
+
+    def test_non_finite_constant_is_not_read(self):
+        with pytest.raises(RecordsFormatError):
+            parse_record_lines(['{"kind": "round", "accuracy": Infinity}'])
+
+    @pytest.mark.parametrize("record", [
+        {"kind": "round", "accuracy": "high"},
+        {"kind": "final-metric", "accuracy": "high"},
+        {"kind": "final-metric", "setting": 4},
+        {"kind": "attack", "attack_accuracy": 0.5, "advantage": 0.0, "auc": 0.5,
+         "num_queries": 10},
+        {"kind": "attack", "scenario": "x", "attack_accuracy": 0.5, "advantage": 0.0,
+         "auc": 0.5, "num_queries": 1.5},
+        {"kind": "compliance", "institution": "a", "claim": "c", "verdict": True},
+        {"kind": "timing-simulated", "total_ms": None},
+        {"kind": "governance-summary", "trained_violations": 1},
+    ])
+    def test_wrong_typed_or_missing_field_rejected(self, record):
+        meta = {"kind": "meta", "config_hash": "h", "seed": 1, "status": "completed"}
+        with pytest.raises(RecordsFormatError):
+            ExperimentReport.from_records([meta, record])
+
+    def test_meta_seed_must_be_an_integer(self):
+        with pytest.raises(RecordsFormatError):
+            ExperimentReport.from_records(
+                [{"kind": "meta", "config_hash": "h", "seed": "1", "status": "completed"}])

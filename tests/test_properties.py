@@ -4,7 +4,7 @@ write -> read round trips."""
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from privfed.compliance import (
     CHAIN_HEADER,
@@ -92,3 +92,49 @@ def test_chain_write_read_round_trip(records, seed):
     assert loaded.to_lines() == chain.to_lines()
     assert loaded.head_hash == chain.head_hash
     assert loaded.verify()
+
+
+# line-level respellings of a written file: none of them is the writer's
+# output, so the readers must refuse every one wherever it is applied
+def at_line(edit):
+    """Apply ``edit`` to one line, any but the empty one after the final newline."""
+    def respell(lines, at):
+        at %= len(lines) - 1
+        return lines[:at] + [edit(lines[at])] + lines[at + 1:]
+    return respell
+
+
+def empty_line(lines, at):
+    at %= len(lines)
+    return lines[:at] + [""] + lines[at:]
+
+
+LINE_RESPELLINGS = {
+    "empty-line": empty_line,
+    "trailing-space": at_line(lambda line: line + " "),
+    "trailing-cr": at_line(lambda line: line + "\r"),
+    "trailing-space-cr": at_line(lambda line: line + "  \r"),
+    "leading-space": at_line(lambda line: " " + line),
+    "tripled-claim-spaces": lambda lines, at: (
+        lines[:1] + [lines[1].replace(" ", "   ")] + lines[2:]),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 10**6), words), min_size=1, max_size=8),
+       st.integers(0, 2**32), st.sampled_from(["chain", "proof"]),
+       st.sampled_from(sorted(LINE_RESPELLINGS)), st.integers(0, 10**4))
+def test_respelled_files_refused(transfers, seed, name, respelling, at):
+    assume(name == "proof" or respelling != "tripled-claim-spaces")  # chains have no claim
+    recorder = AuditRecorder(seed=seed)
+    for round_index, inst in transfers:
+        recorder.record_region_transfer(round_index, inst, "us-east")
+    if name == "chain":
+        lines = recorder.chain.to_lines()
+    else:
+        lines = prove_compliance(recorder, transfers[0][1], CLAIM_REGION).to_lines()
+    written = lines + [""]  # the writer ends the file with one newline
+    assert READERS[name].parse_lines(written).to_lines() == lines
+    respelled = LINE_RESPELLINGS[respelling](written, at)
+    with pytest.raises(ChainFormatError):
+        READERS[name].parse_lines(split_record_lines("\n".join(respelled).encode()))

@@ -1,19 +1,91 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from privfed.errors import ProtocolError
+from privfed import secure_agg
+from privfed.errors import ProtocolError, ShapeError
 from privfed.secure_agg import (
     MASK_BOUND,
     aggregate_masked,
     derive_pairwise_masks,
     mask_update,
     pair_seed,
+    philox_words,
 )
 from privfed.wire import ClientUpdate
 
 
 def ids(n):
     return [f"inst{i:02d}" for i in range(n)]
+
+
+def reference_masks(participants, round_index, session_seed, dim):
+    """One numpy Philox generator per pair, folded one pair at a time."""
+    ordered = sorted(participants)
+    masks = {pid: np.zeros(dim) for pid in ordered}
+    for i, id_a in enumerate(ordered):
+        for id_b in ordered[i + 1:]:
+            gen = np.random.Generator(np.random.Philox(
+                key=pair_seed(round_index, id_a, id_b, session_seed)))
+            r = gen.uniform(-MASK_BOUND, MASK_BOUND, dim)
+            masks[id_a] += r
+            masks[id_b] -= r
+    return masks
+
+
+def assert_same_bits(got, want):
+    assert list(got) == list(want)
+    for pid in want:
+        assert got[pid].tobytes() == want[pid].tobytes(), pid
+
+
+class TestPhiloxKernel:
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1])
+    def test_words_equal_numpy_philox_stream(self, seed):
+        want = np.random.Philox(key=seed).random_raw(24)
+        got = philox_words(np.array([seed], dtype=np.uint64), 6)
+        assert got.dtype == np.uint64 and got.shape == (1, 24)
+        assert (got[0] == want).all()
+
+    def test_many_seeds_in_one_pass(self):
+        seeds = np.array([3, 2**64 - 1, 0, 2**63 + 5, 99], dtype=np.uint64)
+        got = philox_words(seeds, 2)
+        for row, seed in zip(got, seeds):
+            assert (row == np.random.Philox(key=int(seed)).random_raw(8)).all()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 40), dim=st.integers(1, 40), round_index=st.integers(0, 2**31),
+           session_seed=st.integers(0, 2**64 - 1))
+    def test_masks_equal_per_pair_generators_bit_for_bit(self, n, dim, round_index,
+                                                         session_seed):
+        participants = ids(n)[::-1]  # input order must not matter
+        assert_same_bits(derive_pairwise_masks(participants, round_index, session_seed, dim),
+                         reference_masks(participants, round_index, session_seed, dim))
+
+    def test_masks_equal_reference_across_several_chunks(self):
+        # 7,140 pairs at 36 values each: about eight chunks, rows split across them
+        dim = 33
+        assert 120 * 119 // 2 * 36 > 4 * secure_agg.MASK_CHUNK_VALUES
+        assert_same_bits(derive_pairwise_masks(ids(120), 2, 2**64 - 1, dim),
+                         reference_masks(ids(120), 2, 2**64 - 1, dim))
+
+    @pytest.mark.parametrize("chunk_values", [1, 4, 20, 52])
+    def test_chunk_size_does_not_change_bits(self, monkeypatch, chunk_values):
+        monkeypatch.setattr(secure_agg, "MASK_CHUNK_VALUES", chunk_values)
+        assert_same_bits(derive_pairwise_masks(ids(17), 5, 2**63 + 5, 7),
+                         reference_masks(ids(17), 5, 2**63 + 5, 7))
+
+    def test_one_seed_derivation_per_pair(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return pair_seed(*args)
+
+        monkeypatch.setattr(secure_agg, "pair_seed", counted)
+        derive_pairwise_masks(ids(23), 0, 1, 5)
+        assert len(calls) == 23 * 22 // 2
+        assert len(set(calls)) == len(calls)
 
 
 class TestDeriveMasks:
@@ -39,6 +111,10 @@ class TestDeriveMasks:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ProtocolError):
             derive_pairwise_masks(["a", "a", "b"], 0, 1, 4)
+
+    def test_dim_below_one_rejected(self):
+        with pytest.raises(ShapeError):
+            derive_pairwise_masks(["a", "b"], 0, 1, 0)
 
     def test_deterministic_per_round_and_session(self):
         a = derive_pairwise_masks(ids(4), 2, 5, 10)

@@ -9,6 +9,7 @@ from privfed.tasks import (
     SyntheticTask,
     evaluate,
     generate_task,
+    _sigmoid,
     local_train,
     mean_loss,
     rank_auc,
@@ -204,3 +205,20 @@ def test_sample_dataset_disjoint_stream_from_partition():
 def test_empty_dataset_rejected():
     with pytest.raises((ConfigurationError, EvaluationError)):
         LocalDataset("e", np.zeros((0, 2)), np.zeros(0), CLASSIFICATION)
+
+
+def test_sigmoid_matches_sign_split_form_bit_for_bit():
+    # the split form evaluates exp only where it cannot overflow
+    def split(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    rng = np.random.default_rng(2)
+    z = np.concatenate([rng.normal(0, 6, 10_000), rng.normal(0, 400, 1_000),
+                        [0.0, -0.0, 1e-320, -1e-320, 700.0, -700.0, 800.0, -800.0]])
+    with np.errstate(over="raise"):
+        assert _sigmoid(z).tobytes() == split(z).tobytes()
