@@ -21,15 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import NoiseScale, clip, gaussian_mechanism
+from .dp import NoiseScale, privatize
 from .errors import ConfigurationError, EvaluationError
-from .seeding import derive_seed
+from .seeding import derive_seed, rng_for
 from .tasks import (
     CLASSIFICATION,
     LocalDataset,
     SyntheticTask,
     local_train,
+    per_sample_loss,
     predict_scores,
+    rank_auc,
     sample_dataset,
 )
 
@@ -38,9 +40,9 @@ from .tasks import (
 class TrainingRecipe:
     """Target training procedure that shadows must mimic.
 
-    Multi-round local training; when dp_scale is set, each round's delta is
-    clipped and noised before being applied, the same per-round mechanism
-    the federation uses on transmitted updates.
+    Multi-round local training; when dp_scale is set, each round's delta
+    goes through ``dp.privatize``, the clip-and-noise step the federation
+    applies to transmitted updates.
     """
 
     rounds: int = 4
@@ -60,10 +62,16 @@ def train_with_recipe(data: LocalDataset, recipe: TrainingRecipe, seed: int) -> 
         if recipe.dp_scale is None:
             w = local
         else:
-            delta = clip(local - w, recipe.dp_scale.clip_norm)
-            w = w + gaussian_mechanism(delta, recipe.dp_scale,
-                                       derive_seed(seed, "recipe-dp", r))
+            w = privatize(w, local, recipe.dp_scale, derive_seed(seed, "recipe-dp", r))
     return w
+
+
+def member_probes(datasets: list[LocalDataset], per_institution: int) -> LocalDataset:
+    """The attack's member probe set: the first ``per_institution`` samples
+    of each dataset (all of a smaller one), stacked in list order."""
+    rows = [d.subset(range(min(per_institution, d.n))) for d in datasets]
+    return LocalDataset("members", np.vstack([m.features for m in rows]),
+                        np.concatenate([m.labels for m in rows]), datasets[0].task_kind)
 
 
 @dataclass(frozen=True)
@@ -138,15 +146,11 @@ def _queried_losses(model, data: LocalDataset, query: QueryInterface, seed: int)
     if query.inference_sigma == 0.0:
         scores = raw
     else:
-        from .seeding import rng_for
         bounded = np.clip(raw, 0.0, 1.0)
         noise = rng_for(seed, "query").normal(
             0.0, query.inference_sigma, size=(query.repeats, data.n))
         scores = bounded + noise.mean(axis=0)
-    if data.task_kind == CLASSIFICATION:
-        p = np.clip(scores, 1e-12, 1.0 - 1e-12)
-        return -(data.labels * np.log(p) + (1.0 - data.labels) * np.log(1.0 - p))
-    return (scores - data.labels) ** 2
+    return per_sample_loss(scores, data)
 
 
 def _best_threshold(member_losses: np.ndarray, nonmember_losses: np.ndarray) -> float:
@@ -206,7 +210,6 @@ def run_membership_inference(
     accuracy = hits / total
 
     # rank AUC of -loss as the membership score
-    from .tasks import rank_auc
     scores = np.concatenate([-member_losses, -nonmember_losses])
     labels = np.concatenate([np.ones(probe_members.n), np.zeros(probe_nonmembers.n)])
     auc = rank_auc(scores, labels)
@@ -239,30 +242,30 @@ def overfit_recipe(dp_scale: NoiseScale | None = None) -> TrainingRecipe:
     return TrainingRecipe(rounds=6, epochs_per_round=60, lr=1.0, dp_scale=dp_scale)
 
 
-def overfit_study(seed: int, dp_scale: NoiseScale | None = None,
-                  query: QueryInterface = QueryInterface()) -> AttackResult:
-    """Train an overfit (optionally DP) target and attack it."""
+def _overfit_setup(seed: int, recipe: TrainingRecipe):
+    """The overfit task, its member and non-member probes, and shadows
+    trained with ``recipe``."""
     task = SyntheticTask(CLASSIFICATION, OVERFIT_FEATURE_DIM, OVERFIT_POOL,
                          noise=0.05, seed=derive_seed(seed, "overfit-task"))
     members = sample_dataset(task, OVERFIT_TRAIN_SIZE, f"members-{seed}")
     nonmembers = sample_dataset(task, OVERFIT_TRAIN_SIZE, f"nonmembers-{seed}")
-    recipe = overfit_recipe(dp_scale)
-    target = train_with_recipe(members, recipe, derive_seed(seed, "target"))
     shadows = train_shadow_models(task, OVERFIT_SHADOWS, recipe,
                                   derive_seed(seed, "shadows"),
                                   samples_per_split=OVERFIT_TRAIN_SIZE)
+    return task, members, nonmembers, shadows
+
+
+def overfit_study(seed: int, dp_scale: NoiseScale | None = None,
+                  query: QueryInterface = QueryInterface()) -> AttackResult:
+    """Train an overfit (optionally DP) target and attack it."""
+    recipe = overfit_recipe(dp_scale)
+    _, members, nonmembers, shadows = _overfit_setup(seed, recipe)
+    target = train_with_recipe(members, recipe, derive_seed(seed, "target"))
     return run_membership_inference(target, shadows, members, nonmembers, query)
 
 
 def untrained_study(seed: int) -> AttackResult:
     """Attack a never-trained target: no membership signal exists."""
-    task = SyntheticTask(CLASSIFICATION, OVERFIT_FEATURE_DIM, OVERFIT_POOL,
-                         noise=0.05, seed=derive_seed(seed, "overfit-task"))
-    members = sample_dataset(task, OVERFIT_TRAIN_SIZE, f"members-{seed}")
-    nonmembers = sample_dataset(task, OVERFIT_TRAIN_SIZE, f"nonmembers-{seed}")
-    shadows = train_shadow_models(task, OVERFIT_SHADOWS, overfit_recipe(),
-                                  derive_seed(seed, "shadows"),
-                                  samples_per_split=OVERFIT_TRAIN_SIZE)
-    from .seeding import rng_for
+    task, members, nonmembers, shadows = _overfit_setup(seed, overfit_recipe())
     random_model = rng_for(seed, "random-target").standard_normal(task.model_dim)
     return run_membership_inference(random_model, shadows, members, nonmembers)

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .attacks import leakage_signal, overfit_study, untrained_study
 from .compliance import (
     AuditChain,
     ComplianceProof,
@@ -54,8 +55,7 @@ from .governance import (
     GovernanceEnv,
     RewardWeights,
     ScenarioConfig,
-    run_policy,
-    static_baseline_policy,
+    governance_summary,
     train_controller,
 )
 from .seeding import derive_seed
@@ -104,8 +104,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_attack(args) -> int:
     """Overfit study: no-DP vs strong-DP advantage, plus calibration."""
-    from .attacks import overfit_study, untrained_study, leakage_signal
-
     if args.pairs < 1:
         raise ConfigValidationError(["--pairs: must be >= 1"])
     base_seed = args.seed if args.seed is not None else 0
@@ -154,20 +152,11 @@ def cmd_govern_train(args) -> int:
     env = GovernanceEnv(ScenarioConfig(), weights,
                         seed=derive_seed(config.seed, "governance"))
     training = train_controller(env, episodes, derive_seed(config.seed, "controller"))
-    trained = run_policy(env, training.policy, episodes=3)
-    baseline = run_policy(env, static_baseline_policy(), episodes=3)
 
     report = ExperimentReport(config_hash=config_hash(config), seed=config.seed,
                               status="completed")
     report.governance_curve = training.curve
-    report.governance_summary = {
-        "trained_violations": trained["violations"],
-        "baseline_violations": baseline["violations"],
-        "trained_leakage": trained["mean_leakage"],
-        "baseline_leakage": baseline["mean_leakage"],
-        "trained_reward": trained["mean_reward"],
-        "baseline_reward": baseline["mean_reward"],
-    }
+    report.governance_summary = governance_summary(env, training.policy, episodes=3)
     out = _out_dir(args, config)
     emit_report(report, out, FORMATS[args.format])
     g = report.governance_summary

@@ -29,7 +29,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import ChainFormatError, ConfigurationError, ProtocolError, ProvabilityError
-from .seeding import salt_for
+from .seeding import derive_seed, salt_for
 
 HASH_NAME = "sha256"
 DIGEST_LEN = 32
@@ -91,6 +91,11 @@ class PolicySpec:
 
     def write(self, path) -> None:
         Path(path).write_text("\n".join(self.to_lines()) + "\n", encoding="utf-8")
+
+    def home_region(self, institution_id: str) -> str:
+        """The allowed region an institution's in-policy transfers go to."""
+        regions = sorted(self.allowed_regions)
+        return regions[derive_seed(0, "home-region", institution_id) % len(regions)]
 
     @classmethod
     def parse_lines(cls, lines: list[str]) -> "PolicySpec":

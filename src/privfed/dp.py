@@ -2,7 +2,8 @@
 
 The mechanism is the classic Gaussian one: a gradient-like vector is clipped
 to an L2 bound (its sensitivity), then perturbed with isotropic noise
-sigma^2 * I. Calibration uses
+sigma^2 * I; ``privatize`` is that step on a round's update, shared by the
+federation, the governance scenario and the shadow recipe. Calibration uses
 
     sigma = clip_norm * sqrt(2 * ln(1.25 / delta)) / epsilon
 
@@ -12,7 +13,8 @@ epsilon 2 and 4 fall outside the formula's proof regime.
 
 Accounting is basic (linear) composition: per-round epsilon and delta sums,
 enforced exactly against a per-institution run cap. Conservative and
-auditable on purpose.
+auditable on purpose. A ledger file is read back only in the exact spelling
+its writer produces, and a file that breaks its own cap is malformed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BudgetExhausted, ConfigurationError, LedgerError
-from .seeding import rng_for
+from .seeding import derive_seed, rng_for
 from .tasks import ensure_vector
 
 
@@ -51,10 +53,10 @@ class NoiseScale:
     heuristic_regime: bool = False
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ConfigurationError("sigma must be >= 0")
-        if not self.clip_norm > 0:
-            raise ConfigurationError("clip_norm must be > 0")
+        if not (self.sigma >= 0 and math.isfinite(self.sigma)):
+            raise ConfigurationError("sigma must be a finite real >= 0")
+        if not (self.clip_norm > 0 and math.isfinite(self.clip_norm)):
+            raise ConfigurationError("clip_norm must be a finite real > 0")
 
 
 def clip(g, clip_norm: float) -> np.ndarray:
@@ -85,6 +87,13 @@ def gaussian_mechanism(g, scale: NoiseScale, seed: int) -> np.ndarray:
     return v + noise
 
 
+def privatize(global_model: np.ndarray, local_weights: np.ndarray,
+              scale: NoiseScale, seed: int) -> np.ndarray:
+    """The clip-and-noise step on a round delta: global + N(clip(local - global))."""
+    delta = clip(local_weights - global_model, scale.clip_norm)
+    return global_model + gaussian_mechanism(delta, scale, seed)
+
+
 def calibrate_sigma(budget: PrivacyBudget, clip_norm: float) -> NoiseScale:
     """Noise scale achieving (epsilon, delta)-DP for sensitivity ``clip_norm``.
 
@@ -103,21 +112,6 @@ def epsilon_for_sigma(sigma: float, delta: float, clip_norm: float) -> float:
     if not sigma > 0:
         raise ConfigurationError("sigma must be > 0")
     return clip_norm * math.sqrt(2.0 * math.log(1.25 / delta)) / sigma
-
-
-def noisy_scores(scores, sigma: float, seed: int) -> np.ndarray:
-    """Inference-time DP release of prediction scores.
-
-    Scores are clipped to [0, 1] first, which bounds the per-query
-    sensitivity, then perturbed with seeded Gaussian noise.
-    """
-    v = ensure_vector(scores, name="scores")
-    if sigma < 0:
-        raise ConfigurationError("sigma must be >= 0")
-    bounded = np.clip(v, 0.0, 1.0)
-    if sigma == 0:
-        return bounded
-    return bounded + rng_for(seed, "score-noise").normal(0.0, sigma, size=v.shape[0])
 
 
 @dataclass(frozen=True)
@@ -151,6 +145,13 @@ class AccountantLedger:
 
     def charge(self, round_index: int, spend: PrivacyBudget,
                scale: NoiseScale) -> LedgerEntry:
+        self._check_round(round_index)
+        if self.would_exceed(spend):
+            raise BudgetExhausted(self.institution_id, spend.epsilon,
+                                  self.total_epsilon, self.budget_cap.epsilon)
+        return self._append(round_index, spend, scale)
+
+    def _check_round(self, round_index: int) -> None:
         if self.entries and round_index <= self.entries[-1].round_index:
             raise LedgerError(
                 f"round_index {round_index} not after last charged round "
@@ -158,9 +159,9 @@ class AccountantLedger:
             )
         if round_index < 0:
             raise LedgerError("round_index must be >= 0")
-        if self.would_exceed(spend):
-            raise BudgetExhausted(self.institution_id, spend.epsilon,
-                                  self.total_epsilon, self.budget_cap.epsilon)
+
+    def _append(self, round_index: int, spend: PrivacyBudget,
+                scale: NoiseScale) -> LedgerEntry:
         entry = LedgerEntry(
             round_index=round_index,
             epsilon_spent=spend.epsilon,
@@ -182,48 +183,67 @@ class AccountantLedger:
     HEADER = "privfed-ledger/1"
 
     def to_lines(self) -> list[str]:
-        lines = [
-            f"{self.HEADER} institution={self.institution_id} "
-            f"cap_epsilon={self.budget_cap.epsilon!r} cap_delta={self.budget_cap.delta!r}"
-        ]
+        lines = [self._header_line()]
         cumulative = 0.0
         for e in self.entries:
             cumulative += e.epsilon_spent
-            lines.append(
-                f"round={e.round_index} epsilon={e.epsilon_spent!r} delta={e.delta_spent!r} "
-                f"sigma={e.sigma!r} clip_norm={e.clip_norm!r} "
-                f"cumulative_epsilon={cumulative!r} heuristic={int(e.heuristic_regime)}"
-            )
+            lines.append(self._entry_line(e, cumulative))
         return lines
+
+    def _header_line(self) -> str:
+        return (f"{self.HEADER} institution={self.institution_id} "
+                f"cap_epsilon={self.budget_cap.epsilon!r} "
+                f"cap_delta={self.budget_cap.delta!r}")
+
+    @staticmethod
+    def _entry_line(e: LedgerEntry, cumulative: float) -> str:
+        return (f"round={e.round_index} epsilon={e.epsilon_spent!r} delta={e.delta_spent!r} "
+                f"sigma={e.sigma!r} clip_norm={e.clip_norm!r} "
+                f"cumulative_epsilon={cumulative!r} heuristic={int(e.heuristic_regime)}")
 
     def write(self, path) -> None:
         Path(path).write_text("\n".join(self.to_lines()) + "\n", encoding="utf-8")
 
     @classmethod
-    def read(cls, path) -> "AccountantLedger":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        if not lines or not lines[0].startswith(cls.HEADER):
-            raise LedgerError(f"not a ledger file: {path}")
+    def parse_lines(cls, lines: list[str]) -> "AccountantLedger":
+        """The ledger whose ``to_lines()`` is exactly ``lines``.
+
+        One final newline may end the file (one empty last string); any
+        other spelling, an entry past the ledger's own cap or out of round
+        order included, raises LedgerError naming the first bad line.
+        """
+        if len(lines) > 1 and lines[-1] == "":
+            lines = lines[:-1]
         try:
-            head = dict(part.split("=", 1) for part in lines[0].split()[1:])
-            ledger = cls(head["institution"],
-                         PrivacyBudget(float(head["cap_epsilon"]), float(head["cap_delta"])))
-        except (KeyError, ValueError) as exc:
-            raise LedgerError(f"{path}: line 1: malformed ledger header ({exc!r})") from exc
+            head = dict(part.split("=", 1) for part in lines[0].split(" ")[1:])
+            ledger = cls(head["institution"], PrivacyBudget(float(head["cap_epsilon"]),
+                                                            float(head["cap_delta"])))
+            if ledger._header_line() != lines[0]:
+                raise ValueError("not as written")
+        except (IndexError, KeyError, ValueError) as exc:
+            raise LedgerError(f"line 1: malformed ledger header ({exc!r})") from exc
         for line_no, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
             try:
-                kv = dict(part.split("=", 1) for part in line.split())
+                kv = dict(part.split("=", 1) for part in line.split(" "))
                 round_index = int(kv["round"])
                 spend = PrivacyBudget(float(kv["epsilon"]), float(kv["delta"]))
                 scale = NoiseScale(float(kv["sigma"]), float(kv["clip_norm"]),
-                                   bool(int(kv["heuristic"])))
-            except (KeyError, ValueError) as exc:
+                                   kv["heuristic"] == "1")
+                ledger._check_round(round_index)
+                if ledger.would_exceed(spend):
+                    raise ValueError("entry exceeds the ledger's own cap")
+                entry = ledger._append(round_index, spend, scale)
+                if ledger._entry_line(entry, ledger.total_epsilon) != line:
+                    raise ValueError("not as written")
+            except (KeyError, ValueError, LedgerError) as exc:
                 raise LedgerError(
-                    f"{path}: line {line_no}: malformed ledger entry ({exc!r})") from exc
-            ledger.charge(round_index, spend, scale)
+                    f"line {line_no}: malformed ledger entry ({exc!r})") from exc
         return ledger
+
+    @classmethod
+    def read(cls, path) -> "AccountantLedger":
+        # bytes, not text mode, so that no \r\n is translated away
+        return cls.parse_lines(Path(path).read_bytes().decode("utf-8").split("\n"))
 
 
 def schedule_round_budgets(cap: PrivacyBudget, rounds: int) -> list[PrivacyBudget]:
@@ -256,9 +276,9 @@ class UpdatePrivatizer:
     """Round-level DP policy applied to every update before transmission.
 
     The transmitted quantity is the round delta (local weights minus the
-    broadcast global model), the accumulated local gradient step. It is
-    clipped to scale.clip_norm and perturbed by the Gaussian mechanism; the
-    institution then transmits global + privatized delta.
+    broadcast global model), the accumulated local gradient step, passed
+    through ``privatize`` with a seed derived from (seed, "dp", round,
+    institution); the institution then transmits global + privatized delta.
     """
 
     scale: NoiseScale
@@ -272,19 +292,12 @@ class UpdatePrivatizer:
 
     def privatize(self, global_model: np.ndarray, local_weights: np.ndarray,
                   round_index: int, institution_id: str) -> np.ndarray:
-        delta = clip(local_weights - global_model, self.scale.clip_norm)
-        noisy = gaussian_mechanism(
-            delta, self.scale, rng_seed(self.seed, round_index, institution_id))
-        return global_model + noisy
-
-
-def rng_seed(base: int, round_index: int, institution_id: str) -> int:
-    from .seeding import derive_seed
-    return derive_seed(base, "dp", round_index, institution_id)
+        return privatize(global_model, local_weights, self.scale,
+                         derive_seed(self.seed, "dp", round_index, institution_id))
 
 
 def build_privatizer(cap: PrivacyBudget, clip_norm: float, rounds: int,
-                     seed: int, sigma_multiplier: float = 1.0) -> UpdatePrivatizer:
+                     seed: int) -> UpdatePrivatizer:
     """Privatizer whose per-round sigma is calibrated from the scheduled spends.
 
     All spends except possibly the last are equal, so one scale covers the
@@ -293,6 +306,5 @@ def build_privatizer(cap: PrivacyBudget, clip_norm: float, rounds: int,
     """
     spends = schedule_round_budgets(cap, rounds)
     smallest = min(spends, key=lambda b: b.epsilon)
-    base = calibrate_sigma(PrivacyBudget(smallest.epsilon, smallest.delta), clip_norm)
-    scale = NoiseScale(base.sigma * sigma_multiplier, clip_norm, base.heuristic_regime)
-    return UpdatePrivatizer(scale=scale, spends=tuple(spends), seed=seed)
+    return UpdatePrivatizer(scale=calibrate_sigma(smallest, clip_norm),
+                            spends=tuple(spends), seed=seed)

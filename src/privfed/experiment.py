@@ -24,15 +24,14 @@ from .compliance import (
     verify_proof,
 )
 from .config import ExperimentConfig, config_hash
-from .dp import AccountantLedger, PrivacyBudget, build_privatizer
+from .dp import AccountantLedger, NoiseScale, PrivacyBudget, UpdatePrivatizer, build_privatizer
 from .errors import ConfigurationError, RecordsFormatError
 from .federation import Federation, TrainingRun
 from .governance import (
     GovernanceEnv,
     RewardWeights,
     ScenarioConfig,
-    run_policy,
-    static_baseline_policy,
+    governance_summary,
     train_controller,
 )
 from .seeding import derive_seed
@@ -172,11 +171,12 @@ def parse_record_lines(lines: list[str]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _setting_label(config: ExperimentConfig) -> str:
-    if not config.dp_enabled:
-        return SETTING_NO_DP
-    eps = config.dp_epsilon
+def _eps_label(eps: float) -> str:
     return f"eps={int(eps)}" if float(eps).is_integer() else f"eps={eps}"
+
+
+def _setting_label(config: ExperimentConfig) -> str:
+    return _eps_label(config.dp_epsilon) if config.dp_enabled else SETTING_NO_DP
 
 
 def _metrics_dict(metrics) -> dict:
@@ -210,7 +210,8 @@ def build_federation(config: ExperimentConfig, recorder=None) -> tuple[Federatio
     return fed, task
 
 
-def _run_training(config: ExperimentConfig, recorder) -> tuple[TrainingRun, Federation, SyntheticTask]:
+def _run_training(config: ExperimentConfig, recorder):
+    """(run, federation, task, privatizer or None) of one configured training."""
     fed, task = build_federation(config, recorder)
     dp_policy = None
     if config.dp_enabled:
@@ -222,34 +223,21 @@ def _run_training(config: ExperimentConfig, recorder) -> tuple[TrainingRun, Fede
         np.zeros(task.model_dim), config.rounds, config.local_epochs, config.lr,
         dp_policy=dp_policy, agg_mode=config.agg_mode,
     )
-    return run, fed, task
-
-
-def _home_region(config: ExperimentConfig, institution_id: str) -> str:
-    regions = sorted(config.policy_allowed_regions)
-    return regions[derive_seed(0, "home-region", institution_id) % len(regions)]
+    return run, fed, task, dp_policy
 
 
 def _attack_on_run(config: ExperimentConfig, run: TrainingRun, fed: Federation,
-                   task: SyntheticTask, dp_sigma: float | None) -> dict:
+                   task: SyntheticTask, dp_policy: UpdatePrivatizer | None) -> dict:
     """Membership inference against the run's final global model."""
-    per_side = config.attack_probes
-    members_pool = []
-    per_inst = max(1, per_side // len(fed.datasets))
-    for pid in sorted(fed.datasets):
-        data = fed.datasets[pid]
-        members_pool.append(data.subset(range(min(per_inst, data.n))))
-    from .tasks import LocalDataset
-    features = np.vstack([m.features for m in members_pool])
-    labels = np.concatenate([m.labels for m in members_pool])
-    members = LocalDataset("members", features, labels, task.kind)
+    per_inst = max(1, config.attack_probes // len(fed.datasets))
+    members = attacks.member_probes([fed.datasets[pid] for pid in sorted(fed.datasets)],
+                                    per_inst)
     nonmembers = sample_dataset(task, members.n, "attack-nonmembers")
 
     rounds_done = max(1, len(run.results))
     dp_scale = None
-    if dp_sigma is not None:
-        from .dp import NoiseScale
-        dp_scale = NoiseScale(dp_sigma / math.sqrt(len(fed.datasets)),
+    if dp_policy is not None:
+        dp_scale = NoiseScale(dp_policy.scale.sigma / math.sqrt(len(fed.datasets)),
                               config.dp_clip_norm)
     recipe = attacks.TrainingRecipe(
         rounds=min(rounds_done, 6), epochs_per_round=config.local_epochs,
@@ -279,7 +267,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     out.mkdir(parents=True, exist_ok=True)
 
     recorder = AuditRecorder(seed=derive_seed(config.seed, "audit"))
-    run, fed, task = _run_training(config, recorder)
+    run, fed, task, dp_policy = _run_training(config, recorder)
+    policy = config.policy_spec()
 
     report = ExperimentReport(config_hash=h, seed=config.seed, status=run.status)
     for r in run.results:
@@ -304,15 +293,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
             for pid in sorted(fed.datasets):
                 if pid not in r.dropped_ids:
                     recorder.record_region_transfer(
-                        r.round_index, pid, _home_region(config, pid))
+                        r.round_index, pid, policy.home_region(pid))
 
     if config.attack_enabled:
-        dp_sigma = None
-        if config.dp_enabled:
-            cap = PrivacyBudget(config.dp_epsilon, config.dp_delta)
-            dp_sigma = build_privatizer(cap, config.dp_clip_norm, config.rounds,
-                                        0).scale.sigma
-        report.attack_results.append(_attack_on_run(config, run, fed, task, dp_sigma))
+        report.attack_results.append(_attack_on_run(config, run, fed, task, dp_policy))
 
     if config.governance_enabled:
         weights = RewardWeights(config.governance_alpha, config.governance_beta,
@@ -324,16 +308,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
         training = train_controller(env, config.governance_episodes,
                                     derive_seed(config.seed, "controller"))
         report.governance_curve = training.curve
-        trained_eval = run_policy(env, training.policy, episodes=2)
-        baseline_eval = run_policy(env, static_baseline_policy(), episodes=2)
-        report.governance_summary = {
-            "trained_violations": trained_eval["violations"],
-            "baseline_violations": baseline_eval["violations"],
-            "trained_leakage": trained_eval["mean_leakage"],
-            "baseline_leakage": baseline_eval["mean_leakage"],
-            "trained_reward": trained_eval["mean_reward"],
-            "baseline_reward": baseline_eval["mean_reward"],
-        }
+        report.governance_summary = governance_summary(env, training.policy, episodes=2)
         gov_recorder.chain.write(out / "governance.chain")
 
     # event trace: one JSON record per simulated network/compute event
@@ -348,7 +323,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     (out / "trace.records").write_text("\n".join(trace_lines) + "\n", encoding="utf-8")
 
     # compliance artifacts: chain, policy, per-institution proofs, verdicts
-    policy = config.policy_spec()
     recorder.chain.write(out / "audit.chain")
     policy.write(out / "audit.policy")
     head = recorder.chain.head_hash
@@ -388,8 +362,7 @@ def sweep_settings(grid: tuple[str, ...]) -> list[tuple[str, float | None]]:
                 eps = math.nan
             if not (eps > 0 and math.isfinite(eps)):
                 raise ConfigurationError(f"bad epsilon {token!r} in sweep grid")
-            label = f"eps={int(eps)}" if eps.is_integer() else f"eps={eps}"
-            settings.append((label, eps))
+            settings.append((_eps_label(eps), eps))
     return settings
 
 
@@ -419,7 +392,7 @@ def run_sweep(config: ExperimentConfig, grid: tuple[str, ...] = ("inf", "4", "2"
                 policy_max_epsilon=max(config.policy_max_epsilon,
                                        eps if eps is not None else 0.0),
             )
-            run, _, _ = _run_training(point, recorder=None)
+            run, *_ = _run_training(point, recorder=None)
             if run.status != "completed":
                 report.status = run.status
             entry = {"setting": label, "seed": s,

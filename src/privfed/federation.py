@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import secure_agg
-from .dp import UpdatePrivatizer
+from .dp import NoiseScale, PrivacyBudget, UpdatePrivatizer
 from .errors import BudgetExhausted, ConfigurationError, ProtocolError, ShapeError
 from .seeding import rng_for
 from .tasks import EvalMetrics, LocalDataset, ensure_vector, evaluate, local_train
@@ -128,6 +128,47 @@ def weighted_average(updates: list[ClientUpdate]) -> np.ndarray:
     return (counts[:, None] * stacked).sum(axis=0) / counts.sum()
 
 
+def train_clients(global_model, datasets_by_id: dict[str, LocalDataset], epochs: int,
+                  lr: float, round_index: int, privatize=None) -> list[ClientUpdate]:
+    """Local training from the broadcast model, in ``datasets_by_id`` order; then
+    ``privatize(global_model, local, round_index, institution_id)`` if given."""
+    updates = []
+    for pid, data in datasets_by_id.items():
+        local = local_train(global_model, data, epochs, lr)
+        if privatize is not None:
+            local = privatize(global_model, local, round_index, pid)
+        updates.append(ClientUpdate(pid, local, data.n, round_index))
+    return updates
+
+
+def charge_round(ledgers, ids, round_index: int, spend: PrivacyBudget,
+                 scale: NoiseScale, recorder, abort: bool = True) -> int:
+    """Charge and audit each institution in ``ids``; returns the denied count.
+
+    With ``abort`` an exhausted budget raises BudgetExhausted (charges already
+    made stay: the ledger is append-only); without it each denial is audited
+    as a ``budget-denied`` policy decision.
+    """
+    denied = 0
+    for pid in ids:
+        ledger = ledgers.get(pid)
+        if ledger is None:
+            raise ConfigurationError(f"DP enabled but no ledger for {pid!r}")
+        try:
+            entry = ledger.charge(round_index, spend, scale)
+        except BudgetExhausted:
+            if abort:
+                raise
+            denied += 1
+            if recorder is not None:
+                recorder.record_policy_decision(
+                    round_index, pid, "budget-denied", "charge past cap")
+            continue
+        if recorder is not None:
+            recorder.record_budget_charge(round_index, pid, entry)
+    return denied
+
+
 @dataclass
 class TrainingRun:
     results: list[RoundResult]
@@ -231,53 +272,47 @@ class Federation:
         dim = global_model.shape[0]
         n_total = sum(self.datasets[pid].n for pid in survivors)
 
+        privatize = None
         if dp_policy is not None:
-            self._charge_round(survivors, dp_policy, r)
+            charge_round(self.ledgers, survivors, r, dp_policy.spend_for_round(r),
+                         dp_policy.scale, self.recorder)
+            privatize = dp_policy.privatize
+        updates = train_clients(global_model, {pid: self.datasets[pid] for pid in survivors},
+                                cfg.local_epochs, cfg.lr, r, privatize)
 
         finish_times = {}
-        updates: list[ClientUpdate] = []
-        for pid in survivors:
-            data = self.datasets[pid]
+        for u in updates:
+            pid = u.institution_id
             down = self._link_latency(r, pid, "down")
             self.trace.record(t0, "broadcast", r, COORDINATOR, pid, PAYLOAD_GLOBAL_MODEL)
-            t = t0 + down
-            local = local_train(global_model, data, cfg.local_epochs, cfg.lr)
-            t += self.cost.train_ms(data.n, cfg.local_epochs)
+            t = t0 + down + self.cost.train_ms(u.n_i, cfg.local_epochs)
             self.trace.record(t, "local-train", r, pid, pid)
             if dp_policy is not None:
-                local = dp_policy.privatize(global_model, local, r, pid)
                 t += self.cost.dp_ms(dim)
                 self.trace.record(t, "dp-apply", r, pid, pid,
                                   note=f"sigma={dp_policy.scale.sigma:.6g}")
-            updates.append(ClientUpdate(pid, local, data.n, r))
             finish_times[pid] = t
 
-        if agg_mode == AGG_SECURE:
+        secure = agg_mode == AGG_SECURE
+        if secure:
             masks = secure_agg.derive_pairwise_masks(survivors, r, self.session_seed, dim)
             masked_updates = []
-            for u in updates:
-                scaled = ClientUpdate(u.institution_id,
-                                      u.weights * (u.n_i / n_total), u.n_i, r)
-                masked = secure_agg.mask_update(scaled, masks[u.institution_id])
-                t = finish_times[u.institution_id] + self.cost.mask_ms(len(survivors) - 1, dim)
-                self.trace.record(t, "mask", r, u.institution_id, u.institution_id)
-                up = self._link_latency(r, u.institution_id, "up")
-                self.trace.record(t, "send", r, u.institution_id, COORDINATOR,
-                                  PAYLOAD_MASKED_UPDATE)
-                self.trace.record(t + up, "receive", r, COORDINATOR, COORDINATOR,
-                                  PAYLOAD_MASKED_UPDATE, note=u.institution_id)
-                finish_times[u.institution_id] = t + up
-                masked_updates.append(masked)
+        payload = PAYLOAD_MASKED_UPDATE if secure else PAYLOAD_CLIENT_UPDATE
+        for u in updates:
+            pid = u.institution_id
+            t = finish_times[pid]
+            if secure:
+                scaled = ClientUpdate(pid, u.weights * (u.n_i / n_total), u.n_i, r)
+                masked_updates.append(secure_agg.mask_update(scaled, masks[pid]))
+                t += self.cost.mask_ms(len(survivors) - 1, dim)
+                self.trace.record(t, "mask", r, pid, pid)
+            up = self._link_latency(r, pid, "up")
+            self.trace.record(t, "send", r, pid, COORDINATOR, payload)
+            self.trace.record(t + up, "receive", r, COORDINATOR, COORDINATOR, payload, note=pid)
+            finish_times[pid] = t + up
+        if secure:
             new_global = secure_agg.aggregate_masked(masked_updates, survivors)
         else:
-            for u in updates:
-                t = finish_times[u.institution_id]
-                up = self._link_latency(r, u.institution_id, "up")
-                self.trace.record(t, "send", r, u.institution_id, COORDINATOR,
-                                  PAYLOAD_CLIENT_UPDATE)
-                self.trace.record(t + up, "receive", r, COORDINATOR, COORDINATOR,
-                                  PAYLOAD_CLIENT_UPDATE, note=u.institution_id)
-                finish_times[u.institution_id] = t + up
             new_global = weighted_average(updates)
 
         t_agg = max(finish_times.values()) + self.cost.agg_ms(len(survivors), dim)
@@ -294,21 +329,6 @@ class Federation:
             round_index=r,
             agg_mode=agg_mode,
         )
-
-    def _charge_round(self, survivors, dp_policy: UpdatePrivatizer, round_index: int):
-        """Charge every surviving institution before any update is computed.
-
-        An exhausted budget aborts the whole round; ledgers already charged
-        this round stay charged (append-only, composition stays sound).
-        """
-        spend = dp_policy.spend_for_round(round_index)
-        for pid in survivors:
-            ledger = self.ledgers.get(pid)
-            if ledger is None:
-                raise ConfigurationError(f"DP enabled but no ledger for {pid!r}")
-            entry = ledger.charge(round_index, spend, dp_policy.scale)
-            if self.recorder is not None:
-                self.recorder.record_budget_charge(round_index, pid, entry)
 
     # ------------------------------------------------------------------
 

@@ -19,6 +19,10 @@ Raising the noise tier shrinks per-round spends; tightening the policy
 blocks breaches and cuts the attacker's query budget. Training continues
 past denied charges here - the point of the scenario is that non-compliant
 operation is observable, not fatal.
+
+Each scenario round runs the federation's own round steps (train_clients
+with dp.privatize, charge_round without aborting, weighted_average), so the
+controller learns on the code the experiment pipeline runs.
 """
 
 from __future__ import annotations
@@ -31,19 +35,11 @@ import numpy as np
 
 from . import attacks
 from .compliance import AuditRecorder, PolicySpec
-from .dp import (
-    AccountantLedger,
-    NoiseScale,
-    PrivacyBudget,
-    clip,
-    epsilon_for_sigma,
-    gaussian_mechanism,
-)
-from .errors import BudgetExhausted, ConfigurationError
-from .federation import SimCostModel, weighted_average
+from .dp import AccountantLedger, NoiseScale, PrivacyBudget, epsilon_for_sigma, privatize
+from .errors import ConfigurationError
+from .federation import SimCostModel, charge_round, train_clients, weighted_average
 from .seeding import derive_seed, rng_for
-from .tasks import SyntheticTask, evaluate, generate_task, local_train, sample_dataset
-from .wire import ClientUpdate
+from .tasks import SyntheticTask, evaluate, generate_task, sample_dataset
 
 
 class GovernanceAction(Enum):
@@ -243,6 +239,21 @@ def run_policy(env, policy: GovernancePolicy, episodes: int,
     }
 
 
+def governance_summary(env, policy: GovernancePolicy, episodes: int) -> dict:
+    """Greedy rollouts of ``policy`` against the static baseline on the same
+    evaluation episodes: the report's governance-summary fields."""
+    trained = run_policy(env, policy, episodes)
+    baseline = run_policy(env, static_baseline_policy(), episodes)
+    return {
+        "trained_violations": trained["violations"],
+        "baseline_violations": baseline["violations"],
+        "trained_leakage": trained["mean_leakage"],
+        "baseline_leakage": baseline["mean_leakage"],
+        "trained_reward": trained["mean_reward"],
+        "baseline_reward": baseline["mean_reward"],
+    }
+
+
 # --------------------------------------------------------------------------
 # tiny MDP for learner verification
 
@@ -385,12 +396,7 @@ class GovernanceEnv:
         datasets = generate_task(self.task, sc.num_institutions)
         self.datasets = {d.institution_id: d for d in datasets}
         self.eval_data = sample_dataset(self.task, sc.eval_samples, "eval")
-        member_rows = [d.subset(range(sc.probe_members_per_institution))
-                       for d in datasets]
-        features = np.vstack([m.features for m in member_rows])
-        labels = np.concatenate([m.labels for m in member_rows])
-        from .tasks import LocalDataset
-        self.probe_members = LocalDataset("members", features, labels, self.task.kind)
+        self.probe_members = attacks.member_probes(datasets, sc.probe_members_per_institution)
         self.probe_nonmembers = sample_dataset(
             self.task, self.probe_members.n, "nonmembers")
 
@@ -463,42 +469,32 @@ class GovernanceEnv:
         violations = 0
         epoch_ms = 0.0
         sc = self.scenario
-        sigma = sc.tier_sigma(self.tier)
-        scale = NoiseScale(sigma, sc.clip_norm, heuristic_regime=True)
+        dim = self.task.model_dim
+        scale = NoiseScale(sc.tier_sigma(self.tier), sc.clip_norm, heuristic_regime=True)
         spend = PrivacyBudget(sc.tier_epsilon(self.tier), sc.round_delta)
-        active = sorted(self.datasets)[: self.participants]
+        active = {pid: self.datasets[pid]
+                  for pid in sorted(self.datasets)[: self.participants]}
+        slowest = max(self.cost.train_ms(data.n, sc.local_epochs) + self.cost.dp_ms(dim)
+                      for data in active.values())
+
+        def noised(global_model, local, r, pid):
+            seed = derive_seed(self.seed, "env-dp", self._episode, r, pid)
+            return privatize(global_model, local, scale, seed)
 
         for _ in range(sc.rounds_per_step):
             r = self.round_index
-            updates = []
-            slowest = 0.0
-            round_violations = 0
-            for pid in active:
-                data = self.datasets[pid]
-                local = local_train(self.global_model, data, sc.local_epochs, sc.lr)
-                delta = clip(local - self.global_model, sc.clip_norm)
-                noisy = gaussian_mechanism(
-                    delta, scale, derive_seed(self.seed, "env-dp", self._episode, r, pid))
-                try:
-                    entry = self.ledgers[pid].charge(r, spend, scale)
-                    if self.recorder is not None:
-                        self.recorder.record_budget_charge(r, pid, entry)
-                except BudgetExhausted:
-                    # the scenario keeps training past a denied charge; every
-                    # denied charge is a compliance violation
-                    round_violations += 1
-                    if self.recorder is not None:
-                        self.recorder.record_policy_decision(
-                            r, pid, "budget-denied", "charge past cap")
-                updates.append(ClientUpdate(pid, self.global_model + noisy, data.n, r))
-                slowest = max(slowest, self.cost.train_ms(data.n, sc.local_epochs)
-                              + self.cost.dp_ms(self.task.model_dim))
+            updates = train_clients(self.global_model, active, sc.local_epochs, sc.lr,
+                                    r, noised)
+            # the scenario keeps training past a denied charge; every denied
+            # charge is a compliance violation
+            round_violations = charge_round(self.ledgers, active, r, spend, scale,
+                                            self.recorder, abort=False)
             self.global_model = weighted_average(updates)
             round_violations += self._region_traffic(r, active)
             violations += round_violations
             # every violation triggers simulated remediation handling, so
             # non-compliant configurations surface in the latency telemetry
-            epoch_ms += (slowest + self.cost.agg_ms(len(active), self.task.model_dim)
+            epoch_ms += (slowest + self.cost.agg_ms(len(active), dim)
                          + 1.0 * self.strictness
                          + sc.violation_handling_ms * round_violations)
             self.round_index += 1
@@ -521,7 +517,6 @@ class GovernanceEnv:
         """Seeded transfer requests; lenient policy lets breaches execute."""
         sc = self.scenario
         violations = 0
-        allowed = sorted(sc.policy.allowed_regions)
         for pid in active:
             u = rng_for(self.seed, "region", self._episode, round_index, pid).random()
             wants_breach = u < sc.breach_probability
@@ -534,8 +529,8 @@ class GovernanceEnv:
                     self.recorder.record_policy_decision(
                         round_index, pid, "transfer-blocked", BREACH_REGION)
             elif self.recorder is not None:
-                region = allowed[derive_seed(0, "home-region", pid) % len(allowed)]
-                self.recorder.record_region_transfer(round_index, pid, region)
+                self.recorder.record_region_transfer(
+                    round_index, pid, sc.policy.home_region(pid))
         return violations
 
     # -- telemetry ---------------------------------------------------------

@@ -282,17 +282,13 @@ def predict_scores(model, data: LocalDataset) -> np.ndarray:
     return _sigmoid(z) if data.task_kind == CLASSIFICATION else z
 
 
-def per_sample_loss(model, data: LocalDataset) -> np.ndarray:
-    """Log-loss (classification) or squared error (regression), one value per sample."""
-    scores = predict_scores(model, data)
+def per_sample_loss(scores, data: LocalDataset) -> np.ndarray:
+    """Log-loss (classification) or squared error (regression) of prediction
+    ``scores`` against ``data``'s labels, one value per sample."""
     if data.task_kind == CLASSIFICATION:
         p = np.clip(scores, 1e-12, 1.0 - 1e-12)
         return -(data.labels * np.log(p) + (1.0 - data.labels) * np.log(1.0 - p))
     return (scores - data.labels) ** 2
-
-
-def mean_loss(model, data: LocalDataset) -> float:
-    return float(np.mean(per_sample_loss(model, data)))
 
 
 def rank_auc(scores: np.ndarray, labels: np.ndarray) -> float | None:

@@ -210,6 +210,31 @@ def test_secure_dp_run_matches_golden_digests(tmp_path, monkeypatch, kind):
     assert digest((out / "inst00.budget.proof").read_bytes()) == GOLDEN_PROOF
 
 
+# The same run with the membership attack (its DP shadow recipe) and three
+# governance episodes (the scenario's train, clip-and-noise, charge and
+# average steps) on; digests recorded before those paths shared the
+# federation's round steps.
+GOVERNED_GOLDEN_CONFIG = (GOLDEN_CONFIG + "attack.enabled=true\ngovernance.enabled=true\n"
+                          "governance.episodes=3\n")
+GOVERNED_GOLDEN_CHAIN = "48a134f4b2541d71e6e0267e104cfd6e504083cbfa3322bd2710d9726784eafd"
+GOVERNED_GOLDEN_BODY = {
+    "binary-classification": "9fe21d644f7c7aae04c00beadce78b9dd4884d210ea6960edacf06873629d62a",
+    "regression": "22626265a0b44d1e8787db807b0b82c10c7ddd44dc11ad5e53808d8f55891628",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOVERNED_GOLDEN_BODY))
+def test_governed_attack_run_matches_golden_digests(tmp_path, monkeypatch, kind):
+    monkeypatch.chdir(tmp_path)
+    Path("exp.cfg").write_text(f"task.kind={kind}\n" + GOVERNED_GOLDEN_CONFIG)
+    assert main(["run", "--config", "exp.cfg", "--format", "records"]) == 0
+    out = Path("out")
+    body = "\n".join(report_body_lines(out / "report.records")).encode()
+    assert hashlib.sha256(body).hexdigest() == GOVERNED_GOLDEN_BODY[kind]
+    chain = (out / "governance.chain").read_bytes()
+    assert hashlib.sha256(chain).hexdigest() == GOVERNED_GOLDEN_CHAIN
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--config", "missing.cfg"],
     ["sweep", "--grid", "abc"],

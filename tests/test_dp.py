@@ -12,7 +12,7 @@ from privfed.dp import (
     clip,
     epsilon_for_sigma,
     gaussian_mechanism,
-    noisy_scores,
+    privatize,
     schedule_round_budgets,
 )
 from privfed.errors import (
@@ -205,6 +205,56 @@ class TestAccountant:
             AccountantLedger.read(path)
 
 
+def written_ledger() -> list[str]:
+    """The lines of a two-entry ledger file as ``write`` produces them."""
+    ledger = AccountantLedger("inst07", PrivacyBudget(1.0, 1e-2))
+    ledger.charge(0, PrivacyBudget(0.5, 1e-4), NoiseScale(1.0, 1.0))
+    ledger.charge(2, PrivacyBudget(0.25, 1e-4), NoiseScale(1.0, 1.0, True))
+    return ledger.to_lines()
+
+
+class TestLedgerReader:
+    def test_written_file_reads_back_exactly(self, tmp_path):
+        path = tmp_path / "a.ledger"
+        path.write_text("\n".join(written_ledger()) + "\n")
+        assert AccountantLedger.read(path).to_lines() == written_ledger()
+        # the final newline is optional, as in the audit readers
+        assert AccountantLedger.parse_lines(written_ledger()).to_lines() == written_ledger()
+
+    def test_over_cap_file_is_malformed_not_exhausted(self, tmp_path):
+        lines = written_ledger()
+        lines[0] = lines[0].replace("cap_epsilon=1.0", "cap_epsilon=0.6")
+        path = tmp_path / "a.ledger"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LedgerError, match="^line 3: .*cap"):
+            AccountantLedger.read(path)
+
+    @pytest.mark.parametrize("edit, bad_line", [
+        (lambda ls: [ls[0] + "\r"] + ls[1:], 1),                      # \r\n ending
+        (lambda ls: [ls[0], ""] + ls[1:], 2),                         # blank line
+        (lambda ls: [ls[0], "\r"] + ls[1:], 2),                       # \r\n blank line
+        (lambda ls: ls[:1] + [ls[1].replace(" ", "  ")] + ls[2:], 2),  # space runs
+        (lambda ls: ls[:1] + [" " + ls[1]] + ls[2:], 2),              # leading space
+        (lambda ls: ls[:2] + [ls[2] + " "], 3),                       # trailing space
+        (lambda ls: [ls[0].replace(" ", "  ", 1)] + ls[1:], 1),       # header spaces
+        (lambda ls: ls[:2] + [ls[2].replace("cumulative_epsilon=0.75",
+                                            "cumulative_epsilon=99.0")], 3),
+        (lambda ls: ls[:1] + [ls[1].replace("epsilon=0.5 ", "epsilon=5e-1 ")] + ls[2:], 2),
+        (lambda ls: ls[:1] + [ls[1].replace("round=0", "round=+0")] + ls[2:], 2),
+        (lambda ls: ls[:1] + [ls[1].replace("heuristic=0", "heuristic=2")] + ls[2:], 2),
+        (lambda ls: ls[:1] + [ls[1].replace("sigma=1.0", "sigma=nan")] + ls[2:], 2),
+        (lambda ls: ls[:2] + [ls[2].replace("round=2", "round=0")], 3),  # round order
+        (lambda ls: ls + [""], 4),                                    # second final newline
+        (lambda ls: [], 1),                                           # empty file
+    ])
+    def test_other_spellings_raise_ledger_error_naming_the_line(self, tmp_path, edit,
+                                                                bad_line):
+        path = tmp_path / "a.ledger"
+        path.write_text("\n".join(edit(written_ledger())) + "\n")
+        with pytest.raises(LedgerError, match=f"^line {bad_line}: "):
+            AccountantLedger.read(path)
+
+
 class TestSchedule:
     def test_schedule_fits_cap_exactly(self):
         # awkward division cases where naive repeated addition overshoots
@@ -243,14 +293,11 @@ class TestPrivatizer:
         assert not (dp.privatize(g, local, 1, "a") == dp.privatize(g, local, 2, "a")).all()
         assert not (dp.privatize(g, local, 1, "a") == dp.privatize(g, local, 1, "b")).all()
 
-
-def test_noisy_scores_clips_then_perturbs():
-    scores = np.array([-0.5, 0.5, 1.7])
-    out = noisy_scores(scores, 0.0, seed=0)
-    assert (out == np.array([0.0, 0.5, 1.0])).all()
-    noisy = noisy_scores(scores, 0.1, seed=0)
-    assert noisy.shape == (3,)
-    assert not (noisy == out).all()
+    def test_privatize_is_global_plus_noised_clipped_delta(self):
+        scale = NoiseScale(0.3, 0.5)
+        g, local = np.array([1.0, -2.0, 0.5]), np.array([4.0, 2.0, 0.5])
+        expected = g + gaussian_mechanism(clip(local - g, 0.5), scale, seed=9)
+        assert (privatize(g, local, scale, seed=9) == expected).all()
 
 
 def test_noise_cross_coordinate_independence():

@@ -1,5 +1,5 @@
-"""Property tests for the audit readers: typed failures on any input, exact
-write -> read round trips."""
+"""Property tests for the audit and ledger readers: typed failures on any
+input, exact write -> read round trips."""
 
 import pytest
 
@@ -19,7 +19,8 @@ from privfed.compliance import (
     prove_compliance,
     split_record_lines,
 )
-from privfed.errors import ChainFormatError
+from privfed.dp import AccountantLedger, NoiseScale, PrivacyBudget
+from privfed.errors import ChainFormatError, LedgerError
 from privfed.seeding import salt_for
 
 # derandomized so that the suite is repeatable; small so that it stays quick
@@ -33,14 +34,22 @@ def written_files() -> dict[str, bytes]:
         recorder.record_region_transfer(i, "a", "us-east")
     proof = prove_compliance(recorder, "a", CLAIM_REGION)
     policy = PolicySpec(1.0, 0.5, frozenset({"us-east"}), 3)
+    ledger = AccountantLedger("a", PrivacyBudget(1.0, 0.5))
+    for i in range(3):
+        ledger.charge(i, PrivacyBudget(0.25, 1e-3), NoiseScale(1.5, 1.0, i == 1))
     return {name: ("\n".join(lines) + "\n").encode()
             for name, lines in (("chain", recorder.chain.to_lines()),
                                 ("proof", proof.to_lines()),
-                                ("policy", policy.to_lines()))}
+                                ("policy", policy.to_lines()),
+                                ("ledger", ledger.to_lines()))}
 
 
-READERS = {"chain": AuditChain, "proof": ComplianceProof, "policy": PolicySpec}
-HEADERS = {"chain": CHAIN_HEADER, "proof": PROOF_HEADER, "policy": POLICY_HEADER}
+READERS = {"chain": AuditChain, "proof": ComplianceProof, "policy": PolicySpec,
+           "ledger": AccountantLedger}
+HEADERS = {"chain": CHAIN_HEADER, "proof": PROOF_HEADER, "policy": POLICY_HEADER,
+           "ledger": AccountantLedger.HEADER}
+READER_ERRORS = {"chain": ChainFormatError, "proof": ChainFormatError,
+                 "policy": ChainFormatError, "ledger": LedgerError}
 
 
 def spliced(data: bytes, at: int, junk: bytes, drop: int) -> bytes:
@@ -66,7 +75,7 @@ def test_readers_raise_only_typed_errors(name):
     def check(data):
         try:
             READERS[name].parse_lines(split_record_lines(data))
-        except (ChainFormatError, UnicodeDecodeError):
+        except (READER_ERRORS[name], UnicodeDecodeError):
             pass
 
     check()
@@ -138,3 +147,27 @@ def test_respelled_files_refused(transfers, seed, name, respelling, at):
     respelled = LINE_RESPELLINGS[respelling](written, at)
     with pytest.raises(ChainFormatError):
         READERS[name].parse_lines(split_record_lines("\n".join(respelled).encode()))
+
+
+charges = st.lists(st.tuples(st.integers(1, 5), st.floats(1e-3, 1.0), st.booleans()),
+                   max_size=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(charges, st.sampled_from(sorted(set(LINE_RESPELLINGS) - {"tripled-claim-spaces"})),
+       st.integers(0, 10**4))
+def test_ledger_reads_back_exactly_and_refuses_respellings(spends, respelling, at):
+    ledger = AccountantLedger("inst00", PrivacyBudget(10.0, 0.5))
+    round_index = -1
+    for gap, epsilon, heuristic in spends:
+        round_index += gap
+        ledger.charge(round_index, PrivacyBudget(epsilon, 1e-4),
+                      NoiseScale(3 * epsilon, 1.0, heuristic))
+    lines = ledger.to_lines()
+    written = lines + [""]  # the writer ends the file with one newline
+    loaded = AccountantLedger.parse_lines(written)
+    assert loaded.to_lines() == lines
+    assert loaded.entries == ledger.entries
+    respelled = LINE_RESPELLINGS[respelling](written, at)
+    with pytest.raises(LedgerError):
+        AccountantLedger.parse_lines(split_record_lines("\n".join(respelled).encode()))

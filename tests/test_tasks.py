@@ -11,10 +11,15 @@ from privfed.tasks import (
     generate_task,
     _sigmoid,
     local_train,
-    mean_loss,
+    per_sample_loss,
+    predict_scores,
     rank_auc,
     sample_dataset,
 )
+
+
+def mean_loss(model, data):
+    return float(np.mean(per_sample_loss(predict_scores(model, data), data)))
 
 
 def toy_separable():
