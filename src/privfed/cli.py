@@ -14,7 +14,9 @@ non-finite numbers included), counts below 1 (``--episodes``, ``--pairs``)
 and a bad ``--grid`` epsilon exit 2 after listing every violated field. verify-audit exits 0 compliant, 1 non-compliant, 2 invalid
 or tampered, 3 unparseable input (reporting the first malformed line);
 report exits 3 on an unreadable or malformed records file, wrong-typed
-fields included.
+fields included. Any command exits 6 on a numeric failure: training that
+diverged to non-finite weights, or an update outside secure aggregation's
+fixed-point range.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .errors import (
     ChainFormatError,
     ConfigurationError,
     ConfigValidationError,
+    NumericError,
     RecordsFormatError,
 )
 from .experiment import (
@@ -272,6 +275,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except NumericError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

@@ -60,8 +60,29 @@ class Verdict(Enum):
     INVALID = "invalid"
 
 
+def split_record_lines(text: str | bytes) -> list[str]:
+    """Strict newline splitting: only ``\\n`` separates records, so a
+    corrupted separator byte never parses as a clean boundary."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")  # UnicodeDecodeError signals corruption
+    return text.split("\n")
+
+
+class RecordFile:
+    """A file of records that subclasses spell with ``to_lines`` and read back
+    with ``parse_lines``. Both directions use bytes, because text mode
+    rewrites line ends and the readers accept only ``\\n``."""
+
+    def write(self, path) -> None:
+        Path(path).write_bytes(("\n".join(self.to_lines()) + "\n").encode("utf-8"))
+
+    @classmethod
+    def read(cls, path):
+        return cls.parse_lines(split_record_lines(Path(path).read_bytes()))
+
+
 @dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(RecordFile):
     max_epsilon_per_institution: float
     min_sigma_floor: float
     allowed_regions: frozenset[str]
@@ -89,9 +110,6 @@ class PolicySpec:
             f"max_rounds={self.max_rounds}",
         ]
 
-    def write(self, path) -> None:
-        Path(path).write_text("\n".join(self.to_lines()) + "\n", encoding="utf-8")
-
     def home_region(self, institution_id: str) -> str:
         """The allowed region an institution's in-policy transfers go to."""
         regions = sorted(self.allowed_regions)
@@ -118,18 +136,6 @@ class PolicySpec:
         if spec.to_lines() != lines:
             raise ChainFormatError("policy file is not in its written form")
         return spec
-
-    @classmethod
-    def read(cls, path) -> "PolicySpec":
-        return cls.parse_lines(split_record_lines(Path(path).read_text(encoding="utf-8")))
-
-
-def split_record_lines(text: str | bytes) -> list[str]:
-    """Strict newline splitting: only ``\\n`` separates records, so a
-    corrupted separator byte never parses as a clean boundary."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")  # UnicodeDecodeError signals corruption
-    return text.split("\n")
 
 
 def _file_records(lines: list[str], header: str, what: str) -> list[str]:
@@ -260,7 +266,7 @@ def _verified_head(entries) -> bytes | None:
     return prev
 
 
-class AuditChain:
+class AuditChain(RecordFile):
     """Append-only hash chain; payloads live outside as salted commitments."""
 
     def __init__(self):
@@ -313,9 +319,6 @@ class AuditChain:
     def to_lines(self) -> list[str]:
         return [CHAIN_HEADER] + [e.to_line() for e in self.entries]
 
-    def write(self, path) -> None:
-        Path(path).write_text("\n".join(self.to_lines()) + "\n", encoding="utf-8")
-
     @classmethod
     def parse_lines(cls, lines: list[str]) -> "AuditChain":
         """Structural parse only; call verify() to check hash consistency."""
@@ -328,10 +331,6 @@ class AuditChain:
             key = (e.institution_id, e.record_kind)
             counters[key] = counters.get(key, 0) + 1
         return chain
-
-    @classmethod
-    def read(cls, path) -> "AuditChain":
-        return cls.parse_lines(split_record_lines(Path(path).read_text(encoding="utf-8")))
 
 
 class AuditRecorder:
@@ -379,7 +378,7 @@ class AuditRecorder:
 
 
 @dataclass(frozen=True)
-class ComplianceProof:
+class ComplianceProof(RecordFile):
     claim: str
     institution_id: str
     chain_head: bytes
@@ -396,9 +395,6 @@ class ComplianceProof:
             for idx, salt, payload in self.opened
         ]
         return lines
-
-    def write(self, path) -> None:
-        Path(path).write_text("\n".join(self.to_lines()) + "\n", encoding="utf-8")
 
     @classmethod
     def parse_lines(cls, lines: list[str]) -> "ComplianceProof":
@@ -448,10 +444,6 @@ class ComplianceProof:
             opened=tuple(opened),
             aggregate=fields["aggregate"],
         )
-
-    @classmethod
-    def read(cls, path) -> "ComplianceProof":
-        return cls.parse_lines(split_record_lines(Path(path).read_text(encoding="utf-8")))
 
 
 def _claim_line(claim: str, institution_id: str, chain_head_hex: str,

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .compliance import RecordFile
 from .errors import BudgetExhausted, ConfigurationError, LedgerError
 from .seeding import derive_seed, rng_for
 from .tasks import ensure_vector
@@ -124,7 +124,7 @@ class LedgerEntry:
     heuristic_regime: bool
 
 
-class AccountantLedger:
+class AccountantLedger(RecordFile):
     """Append-only per-institution (epsilon, delta) ledger under a run-level cap.
 
     Charges compose linearly and are compared against the cap with exact
@@ -201,9 +201,6 @@ class AccountantLedger:
                 f"sigma={e.sigma!r} clip_norm={e.clip_norm!r} "
                 f"cumulative_epsilon={cumulative!r} heuristic={int(e.heuristic_regime)}")
 
-    def write(self, path) -> None:
-        Path(path).write_text("\n".join(self.to_lines()) + "\n", encoding="utf-8")
-
     @classmethod
     def parse_lines(cls, lines: list[str]) -> "AccountantLedger":
         """The ledger whose ``to_lines()`` is exactly ``lines``.
@@ -239,11 +236,6 @@ class AccountantLedger:
                 raise LedgerError(
                     f"line {line_no}: malformed ledger entry ({exc!r})") from exc
         return ledger
-
-    @classmethod
-    def read(cls, path) -> "AccountantLedger":
-        # bytes, not text mode, so that no \r\n is translated away
-        return cls.parse_lines(Path(path).read_bytes().decode("utf-8").split("\n"))
 
 
 def schedule_round_budgets(cap: PrivacyBudget, rounds: int) -> list[PrivacyBudget]:

@@ -1,27 +1,23 @@
-"""Pairwise additive-mask secure aggregation.
+"""Pairwise additive-mask secure aggregation in the ring Z_2^64.
 
 Every unordered pair of participants shares a seed derived from
 (round_index, id_a, id_b, session_seed); a counter-based PRG (Philox)
-expands it to a mask vector r_ab uniform in [-MASK_BOUND, MASK_BOUND].
-The lexicographically smaller id adds +r_ab, the larger adds -r_ab, so the
-sum of all per-participant masks cancels to zero and the coordinator can
-recover only the sum of the masked inputs, never an individual update.
+expands it to a mask vector r_ab of uint64 words. The lexicographically
+smaller id adds r_ab and the larger subtracts it, modulo 2^64, so the masks
+cancel exactly in any order, each masked update on its own is uniform on
+the ring, and the coordinator recovers only the sum of the inputs
+(Bonawitz et al., CCS 2017).
 
 Because Philox is counter-based, word b of every pair's stream is a pure
 function of (seed, b), and all pair masks of a round are expanded in one
 pass of uint64 array arithmetic, a chunk of pairs at a time. The words are
-bit-identical to numpy's ``Philox(key=seed)`` stream and the values to
-``Generator(Philox(key=seed)).uniform(-MASK_BOUND, MASK_BOUND, dim)``.
-Fold order is part of the contract, since float addition is not
-associative: participant k's mask is
-``((0 - r_0k) - r_1k ... - r_{k-1,k}) + r_{k,k+1} + ... + r_{k,n-1}``,
-partners in ascending id order, exactly as one pair at a time would add it.
+bit-identical to numpy's ``Philox(key=seed)`` stream.
 
-Weighted averaging and masking interact: each client pre-scales its update
-by n_i / n_total before masking, and masks are derived on that scaled
-space, so cancellation is exact even with unequal dataset sizes. The
-coordinator broadcasts n_total, which is dataset-size metadata, acceptable
-under an honest-but-curious model. Dropouts are only permitted before mask
+Each client pre-scales its update by n_i / n_total and encodes it as
+two's-complement fixed point before masking, so the decoded sum is the
+weighted average up to one rounding per client. The coordinator broadcasts
+n_total, which is dataset-size metadata, acceptable under an
+honest-but-curious model. Dropouts are only permitted before mask
 derivation; a participant-set mismatch at aggregation aborts the round.
 """
 
@@ -32,11 +28,15 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ProtocolError, ShapeError
-from .tasks import ensure_vector
+from .errors import NumericError, ProtocolError, ShapeError
 from .wire import ClientUpdate, MaskedUpdate
 
-MASK_BOUND = 1000.0
+# The fixed-point format: 2^-32 resolution, |x| < 2^15, at most 2^16 updates
+# per aggregate, so no sum of encodings reaches 2^47 * 2^16 = 2^63 and wraps;
+# a value or a count past a limit raises a typed error instead.
+FRACTION_BITS = 32
+MAX_ENCODED = 1 << 47
+MAX_UPDATES = 1 << 16
 
 
 def pair_seed(round_index: int, id_a: str, id_b: str, session_seed: int) -> int:
@@ -61,9 +61,9 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 # Mask values expanded per kernel call. Pairs are taken in chunks of about
-# this many values, so the kernel's working set stays near 1 MB whatever
+# this many values, so the kernel's working set stays near 0.7 MiB whatever
 # the number of participants or the dimension.
-MASK_CHUNK_VALUES = 1 << 15
+MASK_CHUNK_VALUES = 1 << 14
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,16 +102,6 @@ def philox_words(seeds: np.ndarray, blocks: int) -> np.ndarray:
     return np.stack((c0, c1, c2, c3), axis=-1).reshape(len(k0), 4 * blocks)
 
 
-def _uniform_masks(seeds: np.ndarray, dim: int) -> np.ndarray:
-    """``Generator(Philox(key=s)).uniform(-MASK_BOUND, MASK_BOUND, dim)`` per seed.
-
-    numpy maps a word u to the double (u >> 11) * 2**-53 and that to
-    low + (high - low) * d, one rounding per operation; so does this.
-    """
-    words = philox_words(seeds, -(-dim // 4))[:, :dim]
-    return -MASK_BOUND + (words >> np.uint64(11)) * 2.0 ** -53 * (2.0 * MASK_BOUND)
-
-
 def _triangle_chunks(n: int, size: int):
     """The pairs (k, j), k < j < n, in row-major order, ``size`` at a time.
 
@@ -135,7 +125,7 @@ def _triangle_chunks(n: int, size: int):
 def derive_pairwise_masks(
     participants: Sequence[str], round_index: int, session_seed: int, dim: int
 ) -> dict[str, np.ndarray]:
-    """Net additive mask per participant; the masks sum to the zero vector.
+    """Net uint64 mask per participant; the masks sum to zero modulo 2^64.
 
     A single participant gets a zero mask (no pairs). Duplicate ids are a
     protocol error.
@@ -146,29 +136,33 @@ def derive_pairwise_masks(
     if dim < 1:
         raise ShapeError("dim must be >= 1")
     ordered = sorted(ids)
-    masks = np.zeros((len(ordered), dim))
+    masks = np.zeros((len(ordered), dim), dtype=np.uint64)
     per_chunk = max(1, MASK_CHUNK_VALUES // (4 * -(-dim // 4)))
     for spans in _triangle_chunks(len(ordered), per_chunk):
         seeds = [pair_seed(round_index, ordered[k], ordered[j], session_seed)
                  for k, first, stop in spans for j in range(first, stop)]
-        values = _uniform_masks(np.array(seeds, dtype=np.uint64), dim)
+        words = philox_words(np.array(seeds, dtype=np.uint64), -(-dim // 4))[:, :dim]
         at = 0
         for k, first, stop in spans:
-            block = values[at:at + stop - first]
+            block = words[at:at + stop - first]
             at += stop - first
-            # the larger ids subtract r_kj; k then adds its row in partner
-            # order, the same float operations as one pair at a time
             masks[first:stop] -= block
-            masks[k] = np.add.accumulate(np.vstack((masks[k], block)))[-1]
+            masks[k] += block.sum(axis=0, dtype=np.uint64)
     return dict(zip(ordered, masks))
 
 
 def mask_update(update: ClientUpdate, mask) -> MaskedUpdate:
-    """Apply an additive mask to an update: masked = weights + mask."""
-    m = ensure_vector(mask, update.dimension, "mask")
+    """Encode an update as fixed point (NumericError if out of range), add its mask."""
+    mask = np.asarray(mask)
+    if mask.dtype != np.uint64 or mask.shape != update.weights.shape:
+        raise ShapeError(f"mask must be a uint64 vector of length {update.dimension}")
+    fixed = np.rint(np.ldexp(update.weights, FRACTION_BITS))
+    if np.any(np.abs(fixed) >= MAX_ENCODED):
+        raise NumericError(f"update from {update.institution_id} is outside the "
+                           f"fixed-point range |w| < {MAX_ENCODED >> FRACTION_BITS}")
     return MaskedUpdate(
         institution_id=update.institution_id,
-        masked_weights=update.weights + m,
+        masked_weights=fixed.astype(np.int64).view(np.uint64) + mask,
         n_i=update.n_i,
         round_index=update.round_index,
     )
@@ -177,13 +171,13 @@ def mask_update(update: ClientUpdate, mask) -> MaskedUpdate:
 def aggregate_masked(
     masked: Sequence[MaskedUpdate], expected_ids: Iterable[str]
 ) -> np.ndarray:
-    """Sum a complete set of masked, pre-scaled updates.
+    """Sum a complete set of masked, pre-scaled updates and decode the sum.
 
     ``expected_ids`` is the participant set whose masks were derived; any
     mismatch (missing, extra, or duplicated updates) means the masks cannot
-    cancel and the round must abort. Because each client pre-scaled its
-    update by n_i / n_total, the unmasked sum is exactly the
-    dataset-size-weighted average of the plaintext updates.
+    cancel and the round must abort, as must more than MAX_UPDATES updates.
+    The masks cancel exactly, so the result is the fixed-point sum of the
+    plaintexts bit for bit.
     """
     expected = set(expected_ids)
     if not masked:
@@ -196,10 +190,12 @@ def aggregate_masked(
             f"participant set mismatch, round aborted "
             f"(missing={missing}, unexpected={extra})"
         )
+    if len(masked) > MAX_UPDATES:
+        raise ProtocolError(f"more than {MAX_UPDATES} updates in one aggregate")
     dim = masked[0].dimension
-    total = np.zeros(dim)
-    for m in sorted(masked, key=lambda u: u.institution_id):
+    total = np.zeros(dim, dtype=np.uint64)
+    for m in masked:
         if m.dimension != dim:
             raise ShapeError("masked updates disagree on dimension")
         total += m.masked_weights
-    return total
+    return np.ldexp(total.view(np.int64).astype(np.float64), -FRACTION_BITS)

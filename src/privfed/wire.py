@@ -2,7 +2,8 @@
 
 Raw datasets never appear here by design: institutions emit ClientUpdate or
 MaskedUpdate objects only, and trace events tag every message with its
-payload type so tests can assert that boundary.
+payload type so tests can assert that boundary. A MaskedUpdate's words are
+uint64, elements of the ring Z_2^64 (see ``secure_agg``).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class ClientUpdate:
 
 @dataclass(frozen=True, eq=False)
 class MaskedUpdate:
-    """A masked parameter vector; same shape as the plaintext it hides."""
+    """A masked fixed-point vector of uint64 words, as long as the plaintext."""
 
     institution_id: str
     masked_weights: np.ndarray
@@ -53,9 +54,9 @@ class MaskedUpdate:
     round_index: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "masked_weights", ensure_vector(self.masked_weights, name="masked_weights")
-        )
+        w = self.masked_weights
+        if not isinstance(w, np.ndarray) or w.dtype != np.uint64 or w.ndim != 1:
+            raise ShapeError("masked_weights must be a 1-D uint64 array")
 
     @property
     def dimension(self) -> int:

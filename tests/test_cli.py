@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from privfed.cli import main
+from privfed.compliance import PolicySpec, Verdict, audit_verdict
 from privfed.config import ExperimentConfig, write_config
 from privfed.experiment import report_body_lines
 
@@ -100,6 +101,19 @@ class TestVerifyAudit:
                      "--policy", str(artifacts["policy"])]) == 3
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line_end", [b"\r\n", b"\r"])
+    def test_other_line_ends_exit_three(self, artifacts, tmp_path, line_end):
+        # text mode would turn both back into \n before the strict line check
+        files = {name: path.read_bytes().replace(b"\n", line_end)
+                 for name, path in artifacts.items()}
+        for name, data in files.items():
+            (tmp_path / f"{name}.respelled").write_bytes(data)
+        assert main(["verify-audit", "--chain", str(tmp_path / "chain.respelled"),
+                     "--proof", str(tmp_path / "proof.respelled"),
+                     "--policy", str(tmp_path / "policy.respelled")]) == 3
+        policy = PolicySpec.read(artifacts["policy"])
+        assert audit_verdict(files["chain"], files["proof"], policy) is Verdict.INVALID
+
     def test_reads_only_the_three_inputs(self, artifacts, monkeypatch):
         # the auditor workflow must not touch datasets, models, or reports
         allowed = {Path(p).name for p in artifacts.values()}
@@ -171,6 +185,23 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, key, value):
     assert f"{key}: must be a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config,message", [
+    # plain averaging diverges to non-finite weights
+    ("task.kind=regression\nlr=1e6\nrounds=20\nagg.mode=plain\ndp.enabled=false\n",
+     "non-finite"),
+    # secure aggregation refuses a weight past its fixed-point range
+    ("task.kind=regression\nlr=10\nagg.mode=secure\ndp.enabled=false\n",
+     "fixed-point range"),
+])
+def test_numeric_failure_exits_6_without_traceback(tmp_path, capsys, config, message):
+    path = tmp_path / "exp.cfg"
+    path.write_text(config + f"task.num_samples=300\noutput_dir={tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(path)]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and message in err
+    assert "Traceback" not in err
+
+
 def test_report_on_wrong_typed_field_exits_3(tmp_path, capsys):
     records = tmp_path / "report.records"
     records.write_text('{"kind": "meta", "config_hash": "x", "seed": 1, "status": "completed"}\n'
@@ -180,17 +211,17 @@ def test_report_on_wrong_typed_field_exits_3(tmp_path, capsys):
     assert err.startswith("parse failure:") and "accuracy" in err
 
 
-# A small secure-aggregation DP run. The regression task's MAE moves with
-# the last bit of the masks (which cancel only up to float rounding), so the
-# report body pins the mask bits; the digests were recorded when every pair
-# mask came from its own numpy Philox generator.
+# A small secure-aggregation DP run. The masks cancel exactly, and the
+# regression task's MAE moves with the last bits of the aggregate, so its
+# report body pins the fixed-point sum (2^-32 resolution) of the masked
+# updates; the classification digests predate fixed-point masking unchanged.
 GOLDEN_CONFIG = ("task.num_samples=300\ninstitutions.count=5\nrounds=2\nlocal_epochs=2\n"
                  "lr=1.0\ndp.enabled=true\nagg.mode=secure\nseed=11\noutput_dir=out\n")
 GOLDEN_CHAIN = "64acf36681600708cdce9df6aa7c84acec5eb70e2ccead404130df9544af97fb"
 GOLDEN_PROOF = "da5dd446f7043bd17b11631a3222a9cd7d8889615bdd5e4b06d9db84d7106187"
 GOLDEN_BODY = {
     "binary-classification": "9a4ea3fd55c023d2cce0e4e8fbf5623bc8b703ce4d67e76bef7c368fb9bd033a",
-    "regression": "907d18e831d02bc9070de4af9c9a21ba702e26731aabc7fae2757dbf6e195197",
+    "regression": "69a27254377fea22e9303b10e8163eb9b2b86d6b6ca6522ed561184b59c40764",
 }
 
 
@@ -219,7 +250,7 @@ GOVERNED_GOLDEN_CONFIG = (GOLDEN_CONFIG + "attack.enabled=true\ngovernance.enabl
 GOVERNED_GOLDEN_CHAIN = "48a134f4b2541d71e6e0267e104cfd6e504083cbfa3322bd2710d9726784eafd"
 GOVERNED_GOLDEN_BODY = {
     "binary-classification": "9fe21d644f7c7aae04c00beadce78b9dd4884d210ea6960edacf06873629d62a",
-    "regression": "22626265a0b44d1e8787db807b0b82c10c7ddd44dc11ad5e53808d8f55891628",
+    "regression": "a3d0c96e51f526978b5011ba0af99230587d3a7aebc2b02e9f91030442681ff3",
 }
 
 

@@ -126,14 +126,24 @@ LINE_RESPELLINGS = {
     "leading-space": at_line(lambda line: " " + line),
     "tripled-claim-spaces": lambda lines, at: (
         lines[:1] + [lines[1].replace(" ", "   ")] + lines[2:]),
+    # whole-file line ends: \r\n after every line, or a lone \r between lines
+    "crlf-file": lambda lines, at: [line + "\r" for line in lines[:-1]] + lines[-1:],
+    "cr-file": lambda lines, at: ["\r".join(lines)],
 }
+
+
+def read_file(tmp_path_factory, reader, text: str):
+    """``reader.read`` on ``text`` written to a file byte for byte."""
+    path = tmp_path_factory.getbasetemp() / "respelled"
+    path.write_bytes(text.encode())
+    return reader.read(path)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.integers(0, 10**6), words), min_size=1, max_size=8),
        st.integers(0, 2**32), st.sampled_from(["chain", "proof"]),
        st.sampled_from(sorted(LINE_RESPELLINGS)), st.integers(0, 10**4))
-def test_respelled_files_refused(transfers, seed, name, respelling, at):
+def test_respelled_files_refused(tmp_path_factory, transfers, seed, name, respelling, at):
     assume(name == "proof" or respelling != "tripled-claim-spaces")  # chains have no claim
     recorder = AuditRecorder(seed=seed)
     for round_index, inst in transfers:
@@ -146,7 +156,7 @@ def test_respelled_files_refused(transfers, seed, name, respelling, at):
     assert READERS[name].parse_lines(written).to_lines() == lines
     respelled = LINE_RESPELLINGS[respelling](written, at)
     with pytest.raises(ChainFormatError):
-        READERS[name].parse_lines(split_record_lines("\n".join(respelled).encode()))
+        read_file(tmp_path_factory, READERS[name], "\n".join(respelled))
 
 
 charges = st.lists(st.tuples(st.integers(1, 5), st.floats(1e-3, 1.0), st.booleans()),
@@ -156,7 +166,8 @@ charges = st.lists(st.tuples(st.integers(1, 5), st.floats(1e-3, 1.0), st.boolean
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(charges, st.sampled_from(sorted(set(LINE_RESPELLINGS) - {"tripled-claim-spaces"})),
        st.integers(0, 10**4))
-def test_ledger_reads_back_exactly_and_refuses_respellings(spends, respelling, at):
+def test_ledger_reads_back_exactly_and_refuses_respellings(tmp_path_factory, spends,
+                                                           respelling, at):
     ledger = AccountantLedger("inst00", PrivacyBudget(10.0, 0.5))
     round_index = -1
     for gap, epsilon, heuristic in spends:
@@ -170,4 +181,4 @@ def test_ledger_reads_back_exactly_and_refuses_respellings(spends, respelling, a
     assert loaded.entries == ledger.entries
     respelled = LINE_RESPELLINGS[respelling](written, at)
     with pytest.raises(LedgerError):
-        AccountantLedger.parse_lines(split_record_lines("\n".join(respelled).encode()))
+        read_file(tmp_path_factory, AccountantLedger, "\n".join(respelled))
