@@ -2,25 +2,34 @@
 
 Every auditable event (budget charge, policy decision, region transfer,
 governance action) is committed into an append-only hash chain. The chain
-stores only salted commitments, never payloads; a compliance proof opens
-exactly the target institution's records for one claim, together with the
-full header chain, so a verifier holding nothing but the trusted head and
-the policy can check:
+stores only salted commitments, never payloads. Before proofs are issued the
+chain is sealed: a ``chain-seal`` entry commits to a key table, an RFC 9162
+Merkle tree over the sorted (institution, kind) keys of every earlier entry,
+one leaf per key holding its record count and a digest of its entry hashes
+in order (the tree commitments of Crosby & Wallach, USENIX Security 2009).
 
-  * the header chain re-hashes to the trusted head,
-  * every opened (salt, payload) re-hashes to its committed digest,
-  * no record of the claimed kind was omitted (each header carries a
-    per-institution running count, so under-disclosure is evident),
+A compliance proof opens one claim for one institution. It carries the seal,
+the audited key's headers and openings, and the key's leaf path, so a
+verifier holding nothing but the trusted head and the policy can check:
+
+  * the seal re-hashes to the trusted head,
+  * the opened headers re-hash, are the key's records 0..k-1, and rebuild
+    its leaf, whose audit path and table size rebuild the seal's commitment
+    (no record of the key was omitted: the leaf fixes the count),
+  * every opened (salt, payload) re-hashes to its header's commitment,
   * the claimed aggregate (total epsilon, minimum sigma, region set)
     matches a recomputation from the opened payloads.
 
-This gives the verification contract of a zero-knowledge audit with an
-honestly weaker disclosure model: the auditor does learn the opened values
-for the institution under audit, and nothing about any other institution.
+Disclosure: the auditor learns the audited key's headers and opened values,
+the table size and the sibling digests on the leaf's path, and nothing else
+about any other institution. A key with no records is proved absent by the
+one or two neighbouring leaves that bracket it in the sorted table, so an
+absence proof also discloses those neighbours' keys and record counts.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import re
@@ -30,16 +39,20 @@ from pathlib import Path
 
 from .errors import ChainFormatError, ConfigurationError, ProtocolError, ProvabilityError
 from .seeding import derive_seed, salt_for
+from .wire import COORDINATOR
 
 HASH_NAME = "sha256"
 DIGEST_LEN = 32
 GENESIS = bytes(DIGEST_LEN)
 
 CHAIN_HEADER = f"privfed-audit-chain/1 {HASH_NAME}"
-PROOF_HEADER = f"privfed-compliance-proof/1 {HASH_NAME}"
+PROOF_HEADER = f"privfed-compliance-proof/2 {HASH_NAME}"
 POLICY_HEADER = "privfed-policy/1"
 
 RECORD_KINDS = ("budget-charge", "policy-decision", "region-transfer", "governance-action")
+# written only by AuditChain.seal, as the coordinator's; the readers accept it
+SEAL_KIND = "chain-seal"
+_ENTRY_KINDS = frozenset(RECORD_KINDS + (SEAL_KIND,))
 
 CLAIM_BUDGET = "budget-within-cap"
 CLAIM_SIGMA = "sigma-above-floor"
@@ -231,7 +244,7 @@ def _parse_entry_line(line: str, line_no: int) -> AuditEntry:
     seq, round_index, institution_id, record_kind, inst_kind_index, commit, prev, digest = parts
     if not _IDENT.match(institution_id):
         raise ChainFormatError("bad institution id", line_no=line_no)
-    if record_kind not in RECORD_KINDS:
+    if record_kind not in _ENTRY_KINDS:
         raise ChainFormatError(f"unknown record kind {record_kind!r}", line_no=line_no)
     return AuditEntry(
         _parse_uint(seq, line_no),
@@ -245,11 +258,144 @@ def _parse_entry_line(line: str, line_no: int) -> AuditEntry:
     )
 
 
-def _verified_head(entries) -> bytes | None:
+def _rehashes(e: AuditEntry) -> bool:
+    return e.entry_hash == _entry_hash(e.sequence_no, e.round_index, e.institution_id,
+                                       e.record_kind, e.inst_kind_index,
+                                       e.payload_commitment, e.prev_hash)
+
+
+# The key table a seal commits to, in RFC 9162's Merkle tree: leaves are
+# hashed under a 0x00 prefix and nodes under 0x01; the seal's commitment adds
+# a 0x02 prefix and the table size K, so a path is checked against its own K.
+
+def _sha256(data: bytes) -> bytes:
+    return hashlib.sha256(data).digest()
+
+
+EMPTY_ROOT = _sha256(b"")
+
+
+def _leaf_hash(key: tuple[str, str], count: int, digest: bytes) -> bytes:
+    # ``|`` occurs in no institution id or kind, so the encoding is one-to-one
+    return _sha256(b"\x00" + f"{key[0]}|{key[1]}|{count}|".encode() + digest)
+
+
+def _node_hash(left: bytes, right: bytes) -> bytes:
+    return _sha256(b"\x01" + left + right)
+
+
+def _table_commitment(size: int, root: bytes) -> bytes:
+    return _sha256(b"\x02" + size.to_bytes(8, "big") + root)
+
+
+def _path_root(index: int, size: int, leaf: bytes, path) -> bytes | None:
+    """The root that ``path`` rebuilds from ``leaf`` at ``index`` of ``size``
+    (RFC 9162, section 2.1.3.2), or None if the path has the wrong shape."""
+    if index >= size:
+        return None
+    fn, sn, r = index, size - 1, leaf
+    for p in path:
+        if sn == 0:
+            return None
+        if fn & 1 or fn == sn:
+            r = _node_hash(p, r)
+            while not fn & 1 and fn:
+                fn >>= 1
+                sn >>= 1
+        else:
+            r = _node_hash(r, p)
+        fn >>= 1
+        sn >>= 1
+    return r if sn == 0 else None
+
+
+class _KeyLog:
+    """The entries of one (institution, kind) key, in chain order, and the
+    running digest of their entry hashes, folded in only when a seal asks."""
+
+    __slots__ = ("entries", "_hasher", "_folded")
+
+    def __init__(self):
+        self.entries: list[AuditEntry] = []
+        self._hasher = None
+        self._folded = 0
+
+    def digest(self) -> bytes:
+        if self._folded < len(self.entries):
+            data = b"".join(e.entry_hash for e in self.entries[self._folded:])
+            if self._hasher is None:
+                self._hasher = hashlib.sha256(data)
+            else:
+                self._hasher.update(data)
+            self._folded = len(self.entries)
+        return self._hasher.copy().digest()  # a log holds at least one entry
+
+
+def _logged(logs: dict[tuple[str, str], _KeyLog], e: AuditEntry) -> None:
+    """Add ``e`` to the log of its key."""
+    key = (e.institution_id, e.record_kind)
+    log = logs.get(key)
+    if log is None:
+        log = logs[key] = _KeyLog()
+    log.entries.append(e)
+
+
+class _KeyTable:
+    """The sorted key table of ``logs`` as they are when it is built, with
+    every level of its Merkle tree, leaves first: a seal costs O(K) hashes
+    and an audit path none."""
+
+    def __init__(self, logs: dict[tuple[str, str], _KeyLog]):
+        self.logs = logs
+        self.keys = sorted(logs)
+        self.counts = [len(logs[k].entries) for k in self.keys]
+        self.digests = [logs[k].digest() for k in self.keys]
+        level = [_leaf_hash(*row) for row in zip(self.keys, self.counts, self.digests)]
+        self.levels = [level]
+        # RFC 9162's tree built bottom-up: hash neighbours in pairs and lift
+        # an odd last node to the next level as it is
+        while len(level) > 1:
+            level = [_node_hash(level[i], level[i + 1])
+                     for i in range(0, len(level) - 1, 2)] + level[len(level) & ~1:]
+            self.levels.append(level)
+        self.commitment = _table_commitment(len(self.keys), level[0] if level else EMPTY_ROOT)
+        self.seal: AuditEntry | None = None  # the seal entry that commits to this table
+
+    def path(self, m: int) -> tuple[bytes, ...]:
+        """Leaf ``m``'s audit path, leaf level first."""
+        path = []
+        for level in self.levels[:-1]:
+            if m ^ 1 < len(level):
+                path.append(level[m ^ 1])
+            m >>= 1
+        return tuple(path)
+
+    def entries(self, key: tuple[str, str]) -> list[AuditEntry]:
+        """The key's entries as the table holds them (none if absent)."""
+        i = bisect.bisect_left(self.keys, key)
+        if i == len(self.keys) or self.keys[i] != key:
+            return []
+        return self.logs[key].entries[:self.counts[i]]
+
+    def opening(self, key: tuple[str, str]) -> tuple["TableLeaf", ...]:
+        """The key's own leaf, or the one or two neighbours that bracket it."""
+        size = len(self.keys)
+        i = bisect.bisect_left(self.keys, key)
+        if i < size and self.keys[i] == key:
+            return (TableLeaf(i, size, self.path(i)),)
+        return tuple(TableLeaf(j, size, self.path(j), self.keys[j], self.counts[j],
+                               self.digests[j])
+                     for j in (i - 1, i) if 0 <= j < size)
+
+
+def _verified_head(entries: list[AuditEntry]) -> bytes | None:
     """Head hash of ``entries`` if every sequence number, prev link,
-    per-(institution, kind) count and entry hash is consistent, else None."""
+    per-(institution, kind) count, entry hash and seal commitment is
+    consistent, else None."""
     prev = GENESIS
     counters: dict[tuple[str, str], int] = {}
+    logs: dict[tuple[str, str], _KeyLog] = {}  # of entries[:logged], kept for seals
+    logged = 0
     for i, e in enumerate(entries):
         if e.sequence_no != i or e.prev_hash != prev:
             return None
@@ -257,10 +403,14 @@ def _verified_head(entries) -> bytes | None:
         if e.inst_kind_index != counters.get(key, 0):
             return None
         counters[key] = e.inst_kind_index + 1
-        expected = _entry_hash(e.sequence_no, e.round_index, e.institution_id,
-                               e.record_kind, e.inst_kind_index,
-                               e.payload_commitment, e.prev_hash)
-        if expected != e.entry_hash:
+        if e.record_kind == SEAL_KIND:
+            for earlier in entries[logged:i]:
+                _logged(logs, earlier)
+            logged = i
+            if (e.institution_id != COORDINATOR
+                    or e.payload_commitment != _KeyTable(logs).commitment):
+                return None
+        if not _rehashes(e):
             return None
         prev = e.entry_hash
     return prev
@@ -271,25 +421,18 @@ class AuditChain(RecordFile):
 
     def __init__(self):
         self.entries: list[AuditEntry] = []
-        self._counters: dict[tuple[str, str], int] = {}
+        self._logs: dict[tuple[str, str], _KeyLog] = {}
         self._used_salts: set[bytes] = set()
+        self._table: _KeyTable | None = None  # the key table of the head seal
 
     @property
     def head_hash(self) -> bytes:
         return self.entries[-1].entry_hash if self.entries else GENESIS
 
-    def append(self, round_index: int, institution_id: str, record_kind: str,
-               payload: dict, salt: bytes) -> AuditEntry:
-        if record_kind not in RECORD_KINDS:
-            raise ProtocolError(f"unknown record kind {record_kind!r}")
-        if not _IDENT.match(institution_id):
-            raise ProtocolError(f"bad institution id {institution_id!r}")
-        if salt in self._used_salts:
-            raise ProtocolError("salt reuse within a chain")
-        key = (institution_id, record_kind)
-        inst_kind_index = self._counters.get(key, 0)
-        payload_str = canonical_payload(payload)
-        commit = commitment(salt, payload_str)
+    def _push(self, round_index: int, institution_id: str, record_kind: str,
+              commit: bytes) -> AuditEntry:
+        log = self._logs.get((institution_id, record_kind))
+        inst_kind_index = len(log.entries) if log else 0
         seq = len(self.entries)
         prev = self.head_hash
         entry = AuditEntry(
@@ -304,12 +447,47 @@ class AuditChain(RecordFile):
                                    inst_kind_index, commit, prev),
         )
         self.entries.append(entry)
-        self._counters[key] = inst_kind_index + 1
+        _logged(self._logs, entry)
+        return entry
+
+    def append(self, round_index: int, institution_id: str, record_kind: str,
+               payload: dict, salt: bytes) -> AuditEntry:
+        if record_kind not in RECORD_KINDS:
+            raise ProtocolError(f"unknown record kind {record_kind!r}")
+        if not _IDENT.match(institution_id):
+            raise ProtocolError(f"bad institution id {institution_id!r}")
+        if salt in self._used_salts:
+            raise ProtocolError("salt reuse within a chain")
+        entry = self._push(round_index, institution_id, record_kind,
+                           commitment(salt, canonical_payload(payload)))
         self._used_salts.add(salt)
         return entry
 
+    def sealed_table(self) -> _KeyTable:
+        """The key table of the head seal, sealing the chain first if its
+        head is not a seal."""
+        head = self.entries[-1] if self.entries else None
+        if self._table is None or self._table.seal is not head:
+            if head is not None and head.record_kind == SEAL_KIND:
+                # a chain read from a file: the table is of the entries before the head
+                logs: dict[tuple[str, str], _KeyLog] = {}
+                for e in self.entries[:-1]:
+                    _logged(logs, e)
+                self._table = _KeyTable(logs)
+            else:
+                self._table = _KeyTable(self._logs)
+                head = self._push(head.round_index if head else 0, COORDINATOR, SEAL_KIND,
+                                  self._table.commitment)
+            self._table.seal = head
+        return self._table
+
+    def seal(self) -> AuditEntry:
+        """Append a seal committing to the key table of every entry so far;
+        if the head is already a seal, return it."""
+        return self.sealed_table().seal
+
     def verify(self) -> bool:
-        """True iff every hash link and the head are consistent."""
+        """True iff every hash link, seal and the head are consistent."""
         return _verified_head(self.entries) is not None
 
     def entries_for(self, institution_id: str, record_kind: str) -> list[AuditEntry]:
@@ -324,12 +502,10 @@ class AuditChain(RecordFile):
         """Structural parse only; call verify() to check hash consistency."""
         lines = _file_records(lines, CHAIN_HEADER, "audit-chain")
         chain = cls()
-        counters = chain._counters
         for i, line in enumerate(lines[1:], start=2):
             e = _parse_entry_line(line, i)
             chain.entries.append(e)
-            key = (e.institution_id, e.record_kind)
-            counters[key] = counters.get(key, 0) + 1
+            _logged(chain._logs, e)
         return chain
 
 
@@ -377,14 +553,79 @@ class AuditRecorder:
         return self._append(round_index, "governance", "governance-action", payload)
 
 
+@dataclass(frozen=True, slots=True)
+class TableLeaf:
+    """Leaf ``index`` of a key table of ``size`` leaves, with its audit path.
+
+    ``key``, ``count`` and ``digest`` are written only for an absence proof's
+    neighbours; the audited key's own leaf is rebuilt from its headers.
+    """
+    index: int
+    size: int
+    path: tuple[bytes, ...]
+    key: tuple[str, str] | None = None
+    count: int = 0
+    digest: bytes = b""
+
+    def to_line(self) -> str:
+        path = ",".join(p.hex() for p in self.path)
+        if self.key is None:
+            return f"L|{self.index}|{self.size}|{path}"
+        return (f"N|{self.index}|{self.size}|{self.key[0]}|{self.key[1]}|"
+                f"{self.count}|{self.digest.hex()}|{path}")
+
+    def rebuilds(self, leaf: bytes, seal_commitment: bytes) -> bool:
+        """True iff ``leaf`` at this place, with this path, gives the commitment."""
+        root = _path_root(self.index, self.size, leaf, self.path)
+        return root is not None and _table_commitment(self.size, root) == seal_commitment
+
+
+def _parse_path(text: str, line_no: int) -> tuple[bytes, ...]:
+    return () if text == "" else tuple(_parse_digest(p, line_no) for p in text.split(","))
+
+
+def _parse_own_leaf(text: str, line_no: int) -> TableLeaf:
+    parts = text.split("|")
+    if len(parts) != 3:
+        raise ChainFormatError("expected L|index|size|path", line_no=line_no)
+    return TableLeaf(_parse_uint(parts[0], line_no), _parse_uint(parts[1], line_no),
+                     _parse_path(parts[2], line_no))
+
+
+def _parse_neighbour(text: str, line_no: int) -> TableLeaf:
+    parts = text.split("|")
+    if len(parts) != 7:
+        raise ChainFormatError(
+            "expected N|index|size|institution|kind|count|digest|path", line_no=line_no)
+    index, size, institution_id, kind, count, digest, path = parts
+    if not _IDENT.match(institution_id) or kind not in _ENTRY_KINDS:
+        raise ChainFormatError("bad neighbour key", line_no=line_no)
+    return TableLeaf(_parse_uint(index, line_no), _parse_uint(size, line_no),
+                     _parse_path(path, line_no), (institution_id, kind),
+                     _parse_uint(count, line_no), _parse_digest(digest, line_no))
+
+
+def _parse_opened(text: str, line_no: int) -> tuple[int, bytes, str]:
+    parts = text.split("|")
+    if len(parts) != 3:
+        raise ChainFormatError("expected O|index|salt|payload", line_no=line_no)
+    try:
+        payload = _parse_hex(parts[2], line_no, "payload").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ChainFormatError(f"bad opened record: {exc}", line_no=line_no) from exc
+    return _parse_uint(parts[0], line_no), _parse_digest(parts[1], line_no, "salt"), payload
+
+
 @dataclass(frozen=True)
 class ComplianceProof(RecordFile):
     claim: str
     institution_id: str
     chain_head: bytes
-    headers: tuple[AuditEntry, ...]          # full header chain, no payloads
+    headers: tuple[AuditEntry, ...]             # the audited key's headers, no payloads
     opened: tuple[tuple[int, bytes, str], ...]  # (sequence_no, salt, payload_str)
     aggregate: str
+    seal: AuditEntry                            # the chain's head
+    leaves: tuple[TableLeaf, ...]               # own leaf, or absence neighbours
 
     def to_lines(self) -> list[str]:
         lines = [PROOF_HEADER, _claim_line(self.claim, self.institution_id,
@@ -394,6 +635,8 @@ class ComplianceProof(RecordFile):
             f"O|{idx}|{salt.hex()}|{payload.encode('utf-8').hex()}"
             for idx, salt, payload in self.opened
         ]
+        lines.append("S|" + self.seal.to_line())
+        lines += [leaf.to_line() for leaf in self.leaves]
         return lines
 
     @classmethod
@@ -418,24 +661,26 @@ class ComplianceProof(RecordFile):
         if lines[1] != _claim_line(fields["claim"], fields["institution"],
                                    fields["chain_head"], fields["aggregate"]):
             raise ChainFormatError("claim line is not in its written form", line_no=2)
-        headers: list[AuditEntry] = []
-        opened: list[tuple[int, bytes, str]] = []
-        for i, line in enumerate(lines[2:], start=3):
-            if line.startswith("H|"):
-                headers.append(_parse_entry_line(line[2:], i))
-            elif line.startswith("O|"):
-                parts = line[2:].split("|")
-                if len(parts) != 3:
-                    raise ChainFormatError("expected O|index|salt|payload", line_no=i)
-                idx = _parse_uint(parts[0], i)
-                salt = _parse_digest(parts[1], i, "salt")
-                try:
-                    payload = _parse_hex(parts[2], i, "payload").decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ChainFormatError(f"bad opened record: {exc}", line_no=i) from exc
-                opened.append((idx, salt, payload))
-            else:
-                raise ChainFormatError("expected H| or O| record", line_no=i)
+        at = 2
+
+        def records(tag: str, parse) -> list:
+            """The run of ``tag`` lines from ``at`` on, each parsed."""
+            nonlocal at
+            run = []
+            while at < len(lines) and lines[at].startswith(tag):
+                run.append(parse(lines[at][2:], at + 1))
+                at += 1
+            return run
+
+        headers = records("H|", _parse_entry_line)
+        opened = records("O|", _parse_opened)
+        seals = records("S|", _parse_entry_line)
+        leaves = records("L|", _parse_own_leaf) + records("N|", _parse_neighbour)
+        if at < len(lines):
+            raise ChainFormatError("expected H|, O|, S|, L| or N| records in that order",
+                                   line_no=at + 1)
+        if len(seals) != 1:
+            raise ChainFormatError("expected one S| seal record", line_no=at + 1)
         return cls(
             claim=fields["claim"],
             institution_id=fields["institution"],
@@ -443,6 +688,8 @@ class ComplianceProof(RecordFile):
             headers=tuple(headers),
             opened=tuple(opened),
             aggregate=fields["aggregate"],
+            seal=seals[0],
+            leaves=tuple(leaves),
         )
 
 
@@ -466,12 +713,13 @@ def _compute_aggregate(claim: str, payloads: list[dict]) -> str:
 
 
 def prove_compliance(recorder: AuditRecorder, institution_id: str, claim: str) -> ComplianceProof:
-    """Open exactly the target institution's records relevant to one claim."""
+    """Open exactly the target institution's records relevant to one claim,
+    against the chain's head seal (sealing the chain if its head is not one)."""
     if claim not in CLAIMS:
         raise ConfigurationError(f"unknown claim {claim!r}")
-    chain = recorder.chain
-    kind = _CLAIM_KIND[claim]
-    relevant = chain.entries_for(institution_id, kind)
+    table = recorder.chain.sealed_table()
+    key = (institution_id, _CLAIM_KIND[claim])
+    relevant = table.entries(key)
     opened = []
     payloads = []
     for entry in relevant:
@@ -489,10 +737,12 @@ def prove_compliance(recorder: AuditRecorder, institution_id: str, claim: str) -
     return ComplianceProof(
         claim=claim,
         institution_id=institution_id,
-        chain_head=chain.head_hash,
-        headers=tuple(chain.entries),
+        chain_head=table.seal.entry_hash,
+        headers=tuple(relevant),
         opened=tuple(opened),
         aggregate=_compute_aggregate(claim, payloads),
+        seal=table.seal,
+        leaves=table.opening(key),
     )
 
 
@@ -504,20 +754,36 @@ def prove_budget_compliance(recorder: AuditRecorder, ledger) -> ComplianceProof:
     honest prover reports the breach and the verifier renders the verdict.
     """
     institution_id = ledger.institution_id
-    relevant = recorder.chain.entries_for(institution_id, "budget-charge")
-    if len(relevant) != len(ledger.entries):
+    proof = prove_compliance(recorder, institution_id, CLAIM_BUDGET)
+    if len(proof.opened) != len(ledger.entries):
         raise ProvabilityError(
             f"ledger has {len(ledger.entries)} charges but chain commits "
-            f"{len(relevant)} for {institution_id}")
-    for chain_entry, ledger_entry in zip(relevant, ledger.entries):
-        stored = recorder.opened_store.get(chain_entry.sequence_no)
-        if stored is None:
-            raise ProvabilityError("missing salt for a committed charge")
-        payload = json.loads(stored[1])
+            f"{len(proof.opened)} for {institution_id}")
+    for (_, _, payload_str), ledger_entry in zip(proof.opened, ledger.entries):
+        payload = json.loads(payload_str)
         if (payload["round"] != ledger_entry.round_index
                 or payload["epsilon"] != ledger_entry.epsilon_spent):
             raise ProvabilityError("ledger/chain mismatch on a budget charge")
-    return prove_compliance(recorder, institution_id, CLAIM_BUDGET)
+    return proof
+
+
+def _proves_absent(key: tuple[str, str], leaves: tuple[TableLeaf, ...],
+                   seal_commitment: bytes) -> bool:
+    """True iff ``leaves`` are the sealed table's neighbours of ``key`` (or
+    the table is empty and there are none), so the key has no records."""
+    if not leaves:
+        return seal_commitment == _table_commitment(0, EMPTY_ROOT)
+    if any(leaf.key is None or not leaf.rebuilds(
+            _leaf_hash(leaf.key, leaf.count, leaf.digest), seal_commitment)
+           for leaf in leaves):
+        return False
+    first, last = leaves[0], leaves[-1]
+    if len(leaves) == 2:
+        return first.index + 1 == last.index and first.key < key < last.key
+    if len(leaves) == 1:
+        return ((first.index == 0 and key < first.key)
+                or (first.index == first.size - 1 and first.key < key))
+    return False
 
 
 def verify_proof(proof: ComplianceProof, trusted_head: bytes,
@@ -527,23 +793,40 @@ def verify_proof(proof: ComplianceProof, trusted_head: bytes,
     INVALID on any hash, coverage, or aggregate inconsistency; otherwise the
     claim's predicate against the policy decides compliant/non-compliant.
     """
-    # 1. header chain re-hashes to the trusted head
-    if _verified_head(proof.headers) != trusted_head or proof.chain_head != trusted_head:
+    # 1. the seal re-hashes to the trusted head
+    seal = proof.seal
+    if not (proof.chain_head == trusted_head == seal.entry_hash
+            and seal.record_kind == SEAL_KIND and seal.institution_id == COORDINATOR
+            and _rehashes(seal)):
         return Verdict.INVALID
 
-    # 2. opened records re-hash to their commitments and belong to the claim
-    kind = _CLAIM_KIND[proof.claim]
-    opened_indices = [idx for idx, _, _ in proof.opened]
-    if len(set(opened_indices)) != len(opened_indices):
+    # 2. the opened headers are the audited key's records 0..k-1, each re-hashing
+    key = (proof.institution_id, _CLAIM_KIND[proof.claim])
+    for i, h in enumerate(proof.headers):
+        if ((h.institution_id, h.record_kind) != key or h.inst_kind_index != i
+                or not _rehashes(h)):
+            return Verdict.INVALID
+
+    # 3. their hashes rebuild the key's leaf, whose path and table size
+    #    rebuild the seal's commitment; 4. with no headers, the neighbours
+    #    bracket the key instead
+    if proof.headers:
+        if len(proof.leaves) != 1 or proof.leaves[0].key is not None:
+            return Verdict.INVALID
+        digest = _sha256(b"".join(h.entry_hash for h in proof.headers))
+        if not proof.leaves[0].rebuilds(_leaf_hash(key, len(proof.headers), digest),
+                                        seal.payload_commitment):
+            return Verdict.INVALID
+    elif not _proves_absent(key, proof.leaves, seal.payload_commitment):
+        return Verdict.INVALID
+
+    # 5. exactly one opened record per header, re-hashing to its commitment
+    if len(proof.opened) != len(proof.headers):
         return Verdict.INVALID
     payloads = []
-    for idx, salt, payload_str in proof.opened:
-        if not (0 <= idx < len(proof.headers)):
-            return Verdict.INVALID
-        header = proof.headers[idx]
-        if header.institution_id != proof.institution_id or header.record_kind != kind:
-            return Verdict.INVALID
-        if commitment(salt, payload_str) != header.payload_commitment:
+    for (idx, salt, payload_str), header in zip(proof.opened, proof.headers):
+        if (idx != header.sequence_no
+                or commitment(salt, payload_str) != header.payload_commitment):
             return Verdict.INVALID
         try:
             payload = json.loads(payload_str)
@@ -553,13 +836,7 @@ def verify_proof(proof: ComplianceProof, trusted_head: bytes,
             return Verdict.INVALID
         payloads.append(payload)
 
-    # 3. coverage: every relevant header must be opened (no under-disclosure)
-    relevant = {h.sequence_no for h in proof.headers
-                if h.institution_id == proof.institution_id and h.record_kind == kind}
-    if relevant != set(opened_indices):
-        return Verdict.INVALID
-
-    # 4. aggregate recomputation must match the stated aggregate
+    # 6. aggregate recomputation must match the stated aggregate
     try:
         recomputed = _compute_aggregate(proof.claim, payloads)
     except (KeyError, ValueError, TypeError):
@@ -567,7 +844,7 @@ def verify_proof(proof: ComplianceProof, trusted_head: bytes,
     if recomputed != proof.aggregate:
         return Verdict.INVALID
 
-    # 5. the claim's predicate against the policy
+    # 7. the claim's predicate against the policy
     if proof.claim == CLAIM_BUDGET:
         total = float(proof.aggregate)
         ok = total <= policy.max_epsilon_per_institution

@@ -322,7 +322,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     ]
     (out / "trace.records").write_text("\n".join(trace_lines) + "\n", encoding="utf-8")
 
-    # compliance artifacts: chain, policy, per-institution proofs, verdicts
+    # compliance artifacts: sealed chain, policy, per-institution proofs, verdicts
+    recorder.chain.seal()
     recorder.chain.write(out / "audit.chain")
     policy.write(out / "audit.policy")
     head = recorder.chain.head_hash

@@ -175,9 +175,10 @@ def aggregate_masked(
 
     ``expected_ids`` is the participant set whose masks were derived; any
     mismatch (missing, extra, or duplicated updates) means the masks cannot
-    cancel and the round must abort, as must more than MAX_UPDATES updates.
-    The masks cancel exactly, so the result is the fixed-point sum of the
-    plaintexts bit for bit.
+    cancel and the round must abort, as must updates from different rounds
+    (their masks differ) or more than MAX_UPDATES updates. The masks cancel
+    exactly, so the result is the fixed-point sum of the plaintexts bit for
+    bit.
     """
     expected = set(expected_ids)
     if not masked:
@@ -192,6 +193,8 @@ def aggregate_masked(
         )
     if len(masked) > MAX_UPDATES:
         raise ProtocolError(f"more than {MAX_UPDATES} updates in one aggregate")
+    if len({m.round_index for m in masked}) != 1:
+        raise ProtocolError("masked updates from different rounds cannot be aggregated")
     dim = masked[0].dimension
     total = np.zeros(dim, dtype=np.uint64)
     for m in masked:

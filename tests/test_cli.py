@@ -215,10 +215,12 @@ def test_report_on_wrong_typed_field_exits_3(tmp_path, capsys):
 # regression task's MAE moves with the last bits of the aggregate, so its
 # report body pins the fixed-point sum (2^-32 resolution) of the masked
 # updates; the classification digests predate fixed-point masking unchanged.
+# The chain digest covers its closing chain-seal line, and the proof digest
+# the key-table proof format (privfed-compliance-proof/2).
 GOLDEN_CONFIG = ("task.num_samples=300\ninstitutions.count=5\nrounds=2\nlocal_epochs=2\n"
                  "lr=1.0\ndp.enabled=true\nagg.mode=secure\nseed=11\noutput_dir=out\n")
-GOLDEN_CHAIN = "64acf36681600708cdce9df6aa7c84acec5eb70e2ccead404130df9544af97fb"
-GOLDEN_PROOF = "da5dd446f7043bd17b11631a3222a9cd7d8889615bdd5e4b06d9db84d7106187"
+GOLDEN_CHAIN = "79e13e370567061620ad3a6fb58a81af8a1133164dc4dff2b0cef56c1b72498c"
+GOLDEN_PROOF = "02d933204f12740d673f08d6b86d7fea89c6f3340a7b19b84c92bd1a349ac656"
 GOLDEN_BODY = {
     "binary-classification": "9a4ea3fd55c023d2cce0e4e8fbf5623bc8b703ce4d67e76bef7c368fb9bd033a",
     "regression": "69a27254377fea22e9303b10e8163eb9b2b86d6b6ca6522ed561184b59c40764",

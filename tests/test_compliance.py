@@ -3,17 +3,25 @@ import time
 
 import pytest
 
+from privfed.cli import main
 from privfed.compliance import (
     CHAIN_HEADER,
+    CLAIM_BUDGET,
     CLAIM_REGION,
     CLAIM_SIGMA,
     PROOF_HEADER,
+    SEAL_KIND,
     AuditChain,
     AuditRecorder,
     ComplianceProof,
     GENESIS,
     PolicySpec,
+    TableLeaf,
     Verdict,
+    _entry_hash,
+    _node_hash,
+    _path_root,
+    _table_commitment,
     audit_verdict,
     prove_budget_compliance,
     prove_compliance,
@@ -338,22 +346,237 @@ class TestFileLevelTamperEvidence:
     def test_every_bit_flip_detected_small(self):
         # exhaustive sweep on a small chain; the acceptance suite runs the
         # full 50-entry version
-        chain_bytes, proof_bytes = self.build_files()
-        pol = policy()
-        for data, other, is_chain in ((chain_bytes, proof_bytes, True),
-                                      (proof_bytes, chain_bytes, False)):
-            for byte_idx in range(len(data)):
-                for bit in range(8):
-                    mutated = bytearray(data)
-                    mutated[byte_idx] ^= 1 << bit
-                    mutated = bytes(mutated)
-                    if is_chain:
-                        verdict = audit_verdict(mutated, other, pol)
-                    else:
-                        verdict = audit_verdict(other, mutated, pol)
-                    assert verdict is Verdict.INVALID, (
-                        f"undetected flip at byte {byte_idx} bit {bit} "
-                        f"({'chain' if is_chain else 'proof'})")
+        assert_every_bit_flip_detected(*self.build_files())
+
+    def test_every_bit_flip_detected_in_an_absence_proof(self):
+        recorder, _ = charged_recorder({"a": [0.5], "c": [0.25]})
+        proof = prove_compliance(recorder, "b", CLAIM_BUDGET)
+        assert len(proof.leaves) == 2
+        assert_every_bit_flip_detected(file_bytes(recorder.chain), file_bytes(proof))
+
+    def test_every_bit_flip_detected_on_a_one_key_chain(self):
+        recorder, ledgers = charged_recorder({"a": [0.5, 0.25]})
+        proof = prove_budget_compliance(recorder, ledgers["a"])
+        assert proof.leaves[0].size == 1 and proof.leaves[0].path == ()
+        assert_every_bit_flip_detected(file_bytes(recorder.chain), file_bytes(proof))
+
+
+def file_bytes(record_file) -> bytes:
+    return ("\n".join(record_file.to_lines()) + "\n").encode()
+
+
+def assert_every_bit_flip_detected(chain_bytes: bytes, proof_bytes: bytes):
+    pol = policy()
+    assert audit_verdict(chain_bytes, proof_bytes, pol) is Verdict.COMPLIANT
+    for data, other, is_chain in ((chain_bytes, proof_bytes, True),
+                                  (proof_bytes, chain_bytes, False)):
+        for byte_idx in range(len(data)):
+            for bit in range(8):
+                mutated = bytearray(data)
+                mutated[byte_idx] ^= 1 << bit
+                mutated = bytes(mutated)
+                if is_chain:
+                    verdict = audit_verdict(mutated, other, pol)
+                else:
+                    verdict = audit_verdict(other, mutated, pol)
+                assert verdict is Verdict.INVALID, (
+                    f"undetected flip at byte {byte_idx} bit {bit} "
+                    f"({'chain' if is_chain else 'proof'})")
+
+
+class TestSeal:
+    def test_seal_is_idempotent_and_closes_the_chain(self):
+        recorder, _ = charged_recorder({"a": [0.5], "b": [0.5]})
+        chain = recorder.chain
+        seal = chain.seal()
+        assert (seal.institution_id, seal.record_kind) == ("coordinator", SEAL_KIND)
+        assert chain.head_hash == seal.entry_hash and len(chain.entries) == 3
+        assert chain.seal() is seal and len(chain.entries) == 3
+        assert chain.verify()
+
+    def test_read_chain_keeps_its_seal(self):
+        recorder, _ = charged_recorder({"a": [0.5]})
+        seal = recorder.chain.seal()
+        loaded = AuditChain.parse_lines(split_record_lines(file_bytes(recorder.chain)))
+        assert loaded.verify()
+        assert loaded.seal() == seal and len(loaded.entries) == 2
+
+    def test_append_refuses_the_seal_kind(self):
+        with pytest.raises(ProtocolError):
+            AuditChain().append(0, "coordinator", SEAL_KIND, {"x": 1}, salt_for(0, 0))
+
+    def test_seal_with_a_wrong_commitment_is_refused(self, tmp_path, capsys):
+        recorder, ledgers = charged_recorder({"a": [0.5], "b": [0.25]})
+        proof = prove_budget_compliance(recorder, ledgers["a"])
+        chain = recorder.chain
+        seal = chain.entries[-1]
+        wrong = bytes([seal.payload_commitment[0] ^ 1]) + seal.payload_commitment[1:]
+        # a well-linked, well-hashed seal entry over a table it does not match
+        chain.entries[-1] = dataclasses.replace(
+            seal, payload_commitment=wrong,
+            entry_hash=_entry_hash(seal.sequence_no, seal.round_index, seal.institution_id,
+                                   seal.record_kind, seal.inst_kind_index, wrong,
+                                   seal.prev_hash))
+        assert not chain.verify()
+        chain.write(tmp_path / "audit.chain")
+        proof.write(tmp_path / "a.proof")
+        policy().write(tmp_path / "audit.policy")
+        assert main(["verify-audit", "--chain", str(tmp_path / "audit.chain"),
+                     "--proof", str(tmp_path / "a.proof"),
+                     "--policy", str(tmp_path / "audit.policy")]) == 2
+        assert "invalid" in capsys.readouterr().out
+
+    def test_seal_must_be_the_coordinators(self):
+        recorder, _ = charged_recorder({"a": [0.5]})
+        seal = recorder.chain.seal()
+        recorder.chain.entries[-1] = dataclasses.replace(
+            seal, institution_id="a",
+            entry_hash=_entry_hash(seal.sequence_no, seal.round_index, "a", seal.record_kind,
+                                   seal.inst_kind_index, seal.payload_commitment,
+                                   seal.prev_hash))
+        assert not recorder.chain.verify()
+
+    @pytest.mark.parametrize("field,value", [("record_kind", "policy-decision"),
+                                             ("institution_id", "a")])
+    def test_proof_against_a_head_that_is_no_seal_is_invalid(self, field, value):
+        # the head carries the table commitment, but not as the coordinator's seal
+        recorder, ledgers = charged_recorder({"a": [0.5]})
+        proof = prove_budget_compliance(recorder, ledgers["a"])
+        fake = dataclasses.replace(proof.seal, **{field: value})
+        fake = dataclasses.replace(fake, entry_hash=_entry_hash(
+            fake.sequence_no, fake.round_index, fake.institution_id, fake.record_kind,
+            fake.inst_kind_index, fake.payload_commitment, fake.prev_hash))
+        forged = dataclasses.replace(proof, seal=fake, chain_head=fake.entry_hash)
+        assert verify_proof(forged, fake.entry_hash, policy()) is Verdict.INVALID
+
+    def test_proof_from_an_earlier_seal_is_invalid_after_a_new_seal(self):
+        recorder, ledgers = charged_recorder({"a": [0.5], "b": [0.25]})
+        old = prove_compliance(recorder, "a", CLAIM_BUDGET)
+        recorder.record_budget_charge(1, "b", ledgers["b"].charge(
+            1, PrivacyBudget(0.25, 1e-6), NoiseScale(1.0, 1.0)))
+        recorder.chain.seal()
+        head = recorder.chain.head_hash
+        assert recorder.chain.verify() and len(recorder.chain.entries) == 5
+        assert verify_proof(old, head, policy()) is Verdict.INVALID
+        assert audit_verdict(file_bytes(recorder.chain), file_bytes(old),
+                             policy()) is Verdict.INVALID
+        fresh = prove_compliance(recorder, "a", CLAIM_BUDGET)
+        assert fresh.seal is recorder.chain.entries[-1]
+        assert verify_proof(fresh, head, policy()) is Verdict.COMPLIANT
+
+    def test_proof_discloses_only_the_audited_key(self):
+        recorder, ledgers = charged_recorder({"a": [0.5, 0.4], "b": [0.9, 0.2, 0.1]})
+        for i in range(3):
+            recorder.record_region_transfer(i, "a", "us-east")
+        proof = prove_budget_compliance(recorder, ledgers["a"])
+        assert [(h.institution_id, h.record_kind) for h in proof.headers] == \
+            [("a", "budget-charge")] * 2
+        assert all(leaf.key is None for leaf in proof.leaves)
+        text = "\n".join(proof.to_lines())
+        assert "|b|" not in text and "region-transfer" not in text
+
+
+def rfc9162_root(leaves):
+    """MTH of RFC 9162, section 2.1.1, by its recursive definition."""
+    if len(leaves) == 1:
+        return leaves[0]
+    k = 1 << ((len(leaves) - 1).bit_length() - 1)
+    return _node_hash(rfc9162_root(leaves[:k]), rfc9162_root(leaves[k:]))
+
+
+def rfc9162_path(m, leaves):
+    """PATH(m, D[n]) of RFC 9162, section 2.1.3.1, by its recursive definition."""
+    if len(leaves) == 1:
+        return []
+    k = 1 << ((len(leaves) - 1).bit_length() - 1)
+    if m < k:
+        return rfc9162_path(m, leaves[:k]) + [rfc9162_root(leaves[k:])]
+    return rfc9162_path(m - k, leaves[k:]) + [rfc9162_root(leaves[:k])]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 7, 8, 9, 16, 31, 33, 70])
+def test_key_table_tree_matches_rfc9162(size):
+    recorder = AuditRecorder(seed=size)
+    for i in range(size):
+        recorder.record_region_transfer(0, f"i{i:03d}", "us-east")
+    table = recorder.chain.sealed_table()
+    leaves = table.levels[0]
+    root = rfc9162_root(leaves)
+    assert table.commitment == _table_commitment(size, root)
+    for m in range(size):
+        assert list(table.path(m)) == rfc9162_path(m, leaves)
+        assert _path_root(m, size, leaves[m], table.path(m)) == root
+        # the same path read at any other place fails; so does another size,
+        # which for some places has the same path shape (leaf 0 of 3 and of
+        # 4), so the seal's commitment binds the size
+        for other in {m ^ 1, m + 1, size - 1 - m} - {m}:
+            assert _path_root(other, size, leaves[m], table.path(m)) != root
+        for other_size in (size - 1, size + 1):
+            leaf = TableLeaf(m, other_size, table.path(m))
+            assert not leaf.rebuilds(leaves[m], table.commitment)
+
+
+class TestAbsenceProofs:
+    def table(self):
+        """Keys (a, budget-charge), (c, budget-charge), (c, region-transfer)."""
+        recorder, _ = charged_recorder({"a": [0.5], "c": [0.25]})
+        recorder.record_region_transfer(0, "c", "ap-south")
+        return recorder
+
+    @pytest.mark.parametrize("institution,claim,indices", [
+        ("b", CLAIM_BUDGET, (0, 1)),           # between two table keys
+        ("a", CLAIM_REGION, (0, 1)),           # another kind of a present institution
+        ("A", CLAIM_BUDGET, (0,)),             # before the first table key
+        ("d", CLAIM_REGION, (2,)),             # after the last table key
+    ])
+    def test_absent_key_proved_by_its_neighbours(self, institution, claim, indices):
+        recorder = self.table()
+        proof = prove_compliance(recorder, institution, claim)
+        assert proof.headers == () and proof.opened == ()
+        assert tuple(leaf.index for leaf in proof.leaves) == indices
+        assert all(leaf.size == 3 and leaf.key is not None for leaf in proof.leaves)
+        head = recorder.chain.head_hash
+        assert verify_proof(proof, head, policy()) is Verdict.COMPLIANT
+        loaded = ComplianceProof.parse_lines(split_record_lines(file_bytes(proof)))
+        assert loaded == proof
+        assert audit_verdict(file_bytes(recorder.chain), file_bytes(proof),
+                             policy()) is Verdict.COMPLIANT
+
+    def test_absence_on_an_empty_sealed_chain(self):
+        recorder = AuditRecorder(seed=0)
+        proof = prove_compliance(recorder, "a", CLAIM_SIGMA)
+        assert proof.leaves == () and proof.aggregate == repr(float("inf"))
+        assert verify_proof(proof, recorder.chain.head_hash, policy()) is Verdict.COMPLIANT
+
+    def test_present_key_cannot_be_proved_absent(self):
+        recorder = self.table()
+        absent = prove_compliance(recorder, "b", CLAIM_BUDGET)
+        head = recorder.chain.head_hash
+        # the same neighbours offered for a key they do not bracket
+        for inst in ("a", "c"):
+            forged = dataclasses.replace(absent, institution_id=inst)
+            assert verify_proof(forged, head, policy()) is Verdict.INVALID
+        # one neighbour only, or the two swapped
+        for leaves in (absent.leaves[:1], absent.leaves[1:], absent.leaves[::-1]):
+            forged = dataclasses.replace(absent, leaves=leaves)
+            assert verify_proof(forged, head, policy()) is Verdict.INVALID
+        # neighbours that bracket a present key from further out
+        after = prove_compliance(recorder, "d", CLAIM_REGION)
+        forged = dataclasses.replace(absent, institution_id="c",
+                                     leaves=(absent.leaves[0], after.leaves[0]))
+        assert forged.leaves[0].key < ("c", "budget-charge") < forged.leaves[1].key
+        assert verify_proof(forged, head, policy()) is Verdict.INVALID
+        # a present key's proof with its records dropped
+        present = prove_compliance(recorder, "c", CLAIM_REGION)
+        hidden = dataclasses.replace(present, headers=(), opened=(), aggregate="-")
+        assert verify_proof(hidden, head, policy()) is Verdict.INVALID
+
+    def test_neighbour_with_a_wrong_count_is_invalid(self):
+        recorder = self.table()
+        proof = prove_compliance(recorder, "b", CLAIM_BUDGET)
+        leaf = dataclasses.replace(proof.leaves[1], count=proof.leaves[1].count + 1)
+        forged = dataclasses.replace(proof, leaves=(proof.leaves[0], leaf))
+        assert verify_proof(forged, recorder.chain.head_hash, policy()) is Verdict.INVALID
 
 
 class TestPolicyFile:

@@ -1,5 +1,9 @@
-"""Property tests for the audit and ledger readers: typed failures on any
-input, exact write -> read round trips."""
+"""Property tests for the audit and ledger readers and the compliance proofs:
+typed failures on any input, exact write -> read round trips, and proof
+verdicts equal to the ones the full chain gives."""
+
+import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +12,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from privfed.compliance import (
     CHAIN_HEADER,
+    CLAIMS,
+    CLAIM_BUDGET,
+    CLAIM_SIGMA,
     POLICY_HEADER,
     PROOF_HEADER,
     CLAIM_REGION,
@@ -16,8 +23,11 @@ from privfed.compliance import (
     AuditRecorder,
     ComplianceProof,
     PolicySpec,
+    Verdict,
+    audit_verdict,
     prove_compliance,
     split_record_lines,
+    verify_proof,
 )
 from privfed.dp import AccountantLedger, NoiseScale, PrivacyBudget
 from privfed.errors import ChainFormatError, LedgerError
@@ -28,11 +38,14 @@ FAST = settings(max_examples=300, deadline=None, derandomize=True)
 
 
 def written_files() -> dict[str, bytes]:
-    """A valid chain, proof and policy file, as the writers produce them."""
+    """A valid chain, proof, absence proof and policy file, as the writers
+    produce them."""
     recorder = AuditRecorder(seed=0)
     for i in range(3):
         recorder.record_region_transfer(i, "a", "us-east")
+        recorder.record_region_transfer(i, "c", "us-east")
     proof = prove_compliance(recorder, "a", CLAIM_REGION)
+    absence = prove_compliance(recorder, "b", CLAIM_REGION)
     policy = PolicySpec(1.0, 0.5, frozenset({"us-east"}), 3)
     ledger = AccountantLedger("a", PrivacyBudget(1.0, 0.5))
     for i in range(3):
@@ -40,16 +53,18 @@ def written_files() -> dict[str, bytes]:
     return {name: ("\n".join(lines) + "\n").encode()
             for name, lines in (("chain", recorder.chain.to_lines()),
                                 ("proof", proof.to_lines()),
+                                ("absence-proof", absence.to_lines()),
                                 ("policy", policy.to_lines()),
                                 ("ledger", ledger.to_lines()))}
 
 
-READERS = {"chain": AuditChain, "proof": ComplianceProof, "policy": PolicySpec,
-           "ledger": AccountantLedger}
-HEADERS = {"chain": CHAIN_HEADER, "proof": PROOF_HEADER, "policy": POLICY_HEADER,
-           "ledger": AccountantLedger.HEADER}
+READERS = {"chain": AuditChain, "proof": ComplianceProof, "absence-proof": ComplianceProof,
+           "policy": PolicySpec, "ledger": AccountantLedger}
+HEADERS = {"chain": CHAIN_HEADER, "proof": PROOF_HEADER, "absence-proof": PROOF_HEADER,
+           "policy": POLICY_HEADER, "ledger": AccountantLedger.HEADER}
 READER_ERRORS = {"chain": ChainFormatError, "proof": ChainFormatError,
-                 "policy": ChainFormatError, "ledger": LedgerError}
+                 "absence-proof": ChainFormatError, "policy": ChainFormatError,
+                 "ledger": LedgerError}
 
 
 def spliced(data: bytes, at: int, junk: bytes, drop: int) -> bytes:
@@ -101,6 +116,59 @@ def test_chain_write_read_round_trip(records, seed):
     assert loaded.to_lines() == chain.to_lines()
     assert loaded.head_hash == chain.head_hash
     assert loaded.verify()
+
+
+# a random run's records: budget charges and region transfers of a few
+# institutions, with a seal after some of them
+records = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c", "d"]), st.booleans(),
+              st.floats(1e-3, 1.0), st.sampled_from(["us-east", "eu-west", "ap-south"]),
+              st.booleans()),
+    max_size=14)
+
+
+def expected_verdict(recorder, institution: str, claim: str, policy) -> Verdict:
+    """The claim's verdict recomputed from every matching entry of the chain."""
+    kind = "region-transfer" if claim == CLAIM_REGION else "budget-charge"
+    payloads = [json.loads(recorder.opened_store[e.sequence_no][1])
+                for e in recorder.chain.entries_for(institution, kind)]
+    if claim == CLAIM_BUDGET:
+        total = 0.0
+        for p in payloads:
+            total += p["epsilon"]
+        ok = total <= policy.max_epsilon_per_institution
+    elif claim == CLAIM_SIGMA:
+        ok = min((p["sigma"] for p in payloads), default=float("inf")) >= policy.min_sigma_floor
+    else:
+        ok = {p["region"] for p in payloads} <= policy.allowed_regions
+    return Verdict.COMPLIANT if ok else Verdict.NON_COMPLIANT
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(records, st.sampled_from(["a", "b", "c", "d", "e"]), st.sampled_from(CLAIMS),
+       st.floats(0.5, 3.0), st.floats(0.0, 4.0), st.integers(0, 2**32))
+def test_proof_verdict_matches_the_full_chain(records, institution, claim, cap, floor, seed):
+    recorder = AuditRecorder(seed=seed)
+    for r, (inst, is_charge, value, region, seal) in enumerate(records):
+        if is_charge:
+            recorder.record_budget_charge(r, inst, SimpleNamespace(
+                round_index=r, epsilon_spent=value, delta_spent=1e-6, sigma=4 * value,
+                clip_norm=1.0, heuristic_regime=False))
+        else:
+            recorder.record_region_transfer(r, inst, region)
+        if seal:
+            recorder.chain.seal()
+    policy = PolicySpec(cap, floor, frozenset({"us-east", "eu-west"}), 100)
+    proof = prove_compliance(recorder, institution, claim)
+    assert recorder.chain.verify()
+    expected = expected_verdict(recorder, institution, claim, policy)
+    assert verify_proof(proof, recorder.chain.head_hash, policy) is expected
+    # the v2 proof reads back to itself, and the auditor's files agree
+    lines = proof.to_lines()
+    assert ComplianceProof.parse_lines(lines) == proof
+    assert ComplianceProof.parse_lines(lines).to_lines() == lines
+    chain_text = "\n".join(recorder.chain.to_lines()) + "\n"
+    assert audit_verdict(chain_text, "\n".join(lines) + "\n", policy) is expected
 
 
 # line-level respellings of a written file: none of them is the writer's

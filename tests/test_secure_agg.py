@@ -268,6 +268,17 @@ class TestAggregateMasked:
         with pytest.raises(ProtocolError):
             aggregate_masked([], ["a"])
 
+    def test_update_masked_for_another_round_aborts(self):
+        # its round-1 mask cannot cancel against the others' round-0 masks
+        updates = [ClientUpdate(f"i{k}", np.ones(3), 1, 0) for k in range(3)]
+        participants = [u.institution_id for u in updates]
+        masks = derive_pairwise_masks(participants, 0, 1, 3)
+        later = derive_pairwise_masks(participants, 1, 1, 3)
+        masked = [mask_update(u, masks[u.institution_id]) for u in updates[:2]]
+        masked.append(mask_update(ClientUpdate("i2", np.ones(3), 1, 1), later["i2"]))
+        with pytest.raises(ProtocolError, match="different rounds"):
+            aggregate_masked(masked, participants)
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(1, 20), st.integers(1, 12), st.integers(0, 2**64 - 1), st.data())
     def test_equals_fixed_point_plain_sum_bit_for_bit(self, n, dim, session_seed, data):
