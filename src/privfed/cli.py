@@ -10,8 +10,9 @@ Subcommands:
 
 Exit codes: run distinguishes success (0), budget exhaustion (4), and round
 failure (5); config validation problems (an unreadable config file and
-non-finite numbers included), counts below 1 (``--episodes``, ``--pairs``)
-and a bad ``--grid`` epsilon exit 2 after listing every violated field. verify-audit exits 0 compliant, 1 non-compliant, 2 invalid
+non-finite numbers included), counts below 1 (``--episodes``, ``--pairs``,
+``--seeds``) and a bad ``--grid`` epsilon exit 2 after listing every
+violated field. verify-audit exits 0 compliant, 1 non-compliant, 2 invalid
 or tampered, 3 unparseable input (reporting the first malformed line);
 report exits 3 on an unreadable or malformed records file, wrong-typed
 fields included. Any command exits 6 on a numeric failure: training that
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import leakage_signal, overfit_study, untrained_study
+from .attacks import overfit_study, untrained_study
 from .compliance import (
     AuditChain,
     ComplianceProof,
@@ -48,6 +49,7 @@ from .errors import (
 )
 from .experiment import (
     ExperimentReport,
+    attack_record,
     emit_report,
     parse_record_lines,
     render_table,
@@ -97,6 +99,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.seeds < 1:
+        raise ConfigValidationError(["--seeds: must be >= 1"])
     config = _load_config(args)
     grid = tuple(token.strip() for token in args.grid.split(","))
     report = run_sweep(config, grid, args.seeds, _out_dir(args, config),
@@ -124,14 +128,7 @@ def cmd_attack(args) -> int:
                               status="completed")
     for i, (plain, noised) in enumerate(rows):
         for label, res in (("overfit-no-dp", plain), ("overfit-strong-dp", noised)):
-            report.attack_results.append({
-                "scenario": f"{label}-{i}",
-                "attack_accuracy": res.attack_accuracy,
-                "advantage": res.advantage,
-                "auc": res.auc,
-                "num_queries": res.num_queries,
-                "leakage": leakage_signal(res),
-            })
+            report.attack_results.append(attack_record(f"{label}-{i}", res))
     mean_plain = float(np.mean([p.advantage for p, _ in rows]))
     mean_noised = float(np.mean([n.advantage for _, n in rows]))
     mean_cal = float(np.mean([c.advantage for c in calibration]))

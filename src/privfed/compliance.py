@@ -7,6 +7,9 @@ chain is sealed: a ``chain-seal`` entry commits to a key table, an RFC 9162
 Merkle tree over the sorted (institution, kind) keys of every earlier entry,
 one leaf per key holding its record count and a digest of its entry hashes
 in order (the tree commitments of Crosby & Wallach, USENIX Security 2009).
+A seal rebuilds its table from the entries before it, so it costs
+O(entries before it) hashing, and verifying a chain of n entries with s
+seals costs O(n * s); the chains privfed writes carry at most one seal.
 
 A compliance proof opens one claim for one institution. It carries the seal,
 the audited key's headers and openings, and the key's leaf path, so a
@@ -309,47 +312,23 @@ def _path_root(index: int, size: int, leaf: bytes, path) -> bytes | None:
     return r if sn == 0 else None
 
 
-class _KeyLog:
-    """The entries of one (institution, kind) key, in chain order, and the
-    running digest of their entry hashes, folded in only when a seal asks."""
-
-    __slots__ = ("entries", "_hasher", "_folded")
-
-    def __init__(self):
-        self.entries: list[AuditEntry] = []
-        self._hasher = None
-        self._folded = 0
-
-    def digest(self) -> bytes:
-        if self._folded < len(self.entries):
-            data = b"".join(e.entry_hash for e in self.entries[self._folded:])
-            if self._hasher is None:
-                self._hasher = hashlib.sha256(data)
-            else:
-                self._hasher.update(data)
-            self._folded = len(self.entries)
-        return self._hasher.copy().digest()  # a log holds at least one entry
-
-
-def _logged(logs: dict[tuple[str, str], _KeyLog], e: AuditEntry) -> None:
-    """Add ``e`` to the log of its key."""
-    key = (e.institution_id, e.record_kind)
-    log = logs.get(key)
-    if log is None:
-        log = logs[key] = _KeyLog()
-    log.entries.append(e)
+def _key_digest(entries) -> bytes:
+    """Digest of one key's entries: sha256 over their entry hashes in order."""
+    return _sha256(b"".join(e.entry_hash for e in entries))
 
 
 class _KeyTable:
-    """The sorted key table of ``logs`` as they are when it is built, with
-    every level of its Merkle tree, leaves first: a seal costs O(K) hashes
-    and an audit path none."""
+    """The sorted key table of ``entries``, with every level of its Merkle
+    tree, leaves first: built in one pass, so a seal costs O(entries before
+    it) hashing and an audit path none."""
 
-    def __init__(self, logs: dict[tuple[str, str], _KeyLog]):
-        self.logs = logs
-        self.keys = sorted(logs)
-        self.counts = [len(logs[k].entries) for k in self.keys]
-        self.digests = [logs[k].digest() for k in self.keys]
+    def __init__(self, entries: list[AuditEntry]):
+        self.by_key: dict[tuple[str, str], list[AuditEntry]] = {}
+        for e in entries:
+            self.by_key.setdefault((e.institution_id, e.record_kind), []).append(e)
+        self.keys = sorted(self.by_key)
+        self.counts = [len(self.by_key[k]) for k in self.keys]
+        self.digests = [_key_digest(self.by_key[k]) for k in self.keys]
         level = [_leaf_hash(*row) for row in zip(self.keys, self.counts, self.digests)]
         self.levels = [level]
         # RFC 9162's tree built bottom-up: hash neighbours in pairs and lift
@@ -371,11 +350,8 @@ class _KeyTable:
         return tuple(path)
 
     def entries(self, key: tuple[str, str]) -> list[AuditEntry]:
-        """The key's entries as the table holds them (none if absent)."""
-        i = bisect.bisect_left(self.keys, key)
-        if i == len(self.keys) or self.keys[i] != key:
-            return []
-        return self.logs[key].entries[:self.counts[i]]
+        """The key's entries in the table (none if absent)."""
+        return self.by_key.get(key, [])
 
     def opening(self, key: tuple[str, str]) -> tuple["TableLeaf", ...]:
         """The key's own leaf, or the one or two neighbours that bracket it."""
@@ -394,8 +370,6 @@ def _verified_head(entries: list[AuditEntry]) -> bytes | None:
     consistent, else None."""
     prev = GENESIS
     counters: dict[tuple[str, str], int] = {}
-    logs: dict[tuple[str, str], _KeyLog] = {}  # of entries[:logged], kept for seals
-    logged = 0
     for i, e in enumerate(entries):
         if e.sequence_no != i or e.prev_hash != prev:
             return None
@@ -403,13 +377,10 @@ def _verified_head(entries: list[AuditEntry]) -> bytes | None:
         if e.inst_kind_index != counters.get(key, 0):
             return None
         counters[key] = e.inst_kind_index + 1
-        if e.record_kind == SEAL_KIND:
-            for earlier in entries[logged:i]:
-                _logged(logs, earlier)
-            logged = i
-            if (e.institution_id != COORDINATOR
-                    or e.payload_commitment != _KeyTable(logs).commitment):
-                return None
+        if e.record_kind == SEAL_KIND and (
+                e.institution_id != COORDINATOR
+                or e.payload_commitment != _KeyTable(entries[:i]).commitment):
+            return None
         if not _rehashes(e):
             return None
         prev = e.entry_hash
@@ -421,7 +392,7 @@ class AuditChain(RecordFile):
 
     def __init__(self):
         self.entries: list[AuditEntry] = []
-        self._logs: dict[tuple[str, str], _KeyLog] = {}
+        self._counts: dict[tuple[str, str], int] = {}  # entries per (institution, kind)
         self._used_salts: set[bytes] = set()
         self._table: _KeyTable | None = None  # the key table of the head seal
 
@@ -431,8 +402,9 @@ class AuditChain(RecordFile):
 
     def _push(self, round_index: int, institution_id: str, record_kind: str,
               commit: bytes) -> AuditEntry:
-        log = self._logs.get((institution_id, record_kind))
-        inst_kind_index = len(log.entries) if log else 0
+        key = (institution_id, record_kind)
+        inst_kind_index = self._counts.get(key, 0)
+        self._counts[key] = inst_kind_index + 1
         seq = len(self.entries)
         prev = self.head_hash
         entry = AuditEntry(
@@ -447,7 +419,6 @@ class AuditChain(RecordFile):
                                    inst_kind_index, commit, prev),
         )
         self.entries.append(entry)
-        _logged(self._logs, entry)
         return entry
 
     def append(self, round_index: int, institution_id: str, record_kind: str,
@@ -469,13 +440,9 @@ class AuditChain(RecordFile):
         head = self.entries[-1] if self.entries else None
         if self._table is None or self._table.seal is not head:
             if head is not None and head.record_kind == SEAL_KIND:
-                # a chain read from a file: the table is of the entries before the head
-                logs: dict[tuple[str, str], _KeyLog] = {}
-                for e in self.entries[:-1]:
-                    _logged(logs, e)
-                self._table = _KeyTable(logs)
+                self._table = _KeyTable(self.entries[:-1])
             else:
-                self._table = _KeyTable(self._logs)
+                self._table = _KeyTable(self.entries)
                 head = self._push(head.round_index if head else 0, COORDINATOR, SEAL_KIND,
                                   self._table.commitment)
             self._table.seal = head
@@ -502,10 +469,12 @@ class AuditChain(RecordFile):
         """Structural parse only; call verify() to check hash consistency."""
         lines = _file_records(lines, CHAIN_HEADER, "audit-chain")
         chain = cls()
+        counts = chain._counts
         for i, line in enumerate(lines[1:], start=2):
             e = _parse_entry_line(line, i)
             chain.entries.append(e)
-            _logged(chain._logs, e)
+            key = (e.institution_id, e.record_kind)
+            counts[key] = counts.get(key, 0) + 1
         return chain
 
 
@@ -813,9 +782,8 @@ def verify_proof(proof: ComplianceProof, trusted_head: bytes,
     if proof.headers:
         if len(proof.leaves) != 1 or proof.leaves[0].key is not None:
             return Verdict.INVALID
-        digest = _sha256(b"".join(h.entry_hash for h in proof.headers))
-        if not proof.leaves[0].rebuilds(_leaf_hash(key, len(proof.headers), digest),
-                                        seal.payload_commitment):
+        leaf = _leaf_hash(key, len(proof.headers), _key_digest(proof.headers))
+        if not proof.leaves[0].rebuilds(leaf, seal.payload_commitment):
             return Verdict.INVALID
     elif not _proves_absent(key, proof.leaves, seal.payload_commitment):
         return Verdict.INVALID

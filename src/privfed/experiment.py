@@ -226,6 +226,18 @@ def _run_training(config: ExperimentConfig, recorder):
     return run, fed, task, dp_policy
 
 
+def attack_record(scenario: str, result: attacks.AttackResult) -> dict:
+    """The ``attack`` record of one membership-inference result."""
+    return {
+        "scenario": scenario,
+        "attack_accuracy": result.attack_accuracy,
+        "advantage": result.advantage,
+        "auc": result.auc,
+        "num_queries": result.num_queries,
+        "leakage": attacks.leakage_signal(result),
+    }
+
+
 def _attack_on_run(config: ExperimentConfig, run: TrainingRun, fed: Federation,
                    task: SyntheticTask, dp_policy: UpdatePrivatizer | None) -> dict:
     """Membership inference against the run's final global model."""
@@ -245,16 +257,8 @@ def _attack_on_run(config: ExperimentConfig, run: TrainingRun, fed: Federation,
     shadows = attacks.train_shadow_models(
         task, config.attack_shadows, recipe, derive_seed(config.seed, "shadows"),
         samples_per_split=min(members.n, task.num_samples // (2 * config.attack_shadows)))
-    result = attacks.run_membership_inference(run.final_model, shadows,
-                                              members, nonmembers)
-    return {
-        "scenario": "final-model",
-        "attack_accuracy": result.attack_accuracy,
-        "advantage": result.advantage,
-        "auc": result.auc,
-        "num_queries": result.num_queries,
-        "leakage": attacks.leakage_signal(result),
-    }
+    return attack_record("final-model", attacks.run_membership_inference(
+        run.final_model, shadows, members, nonmembers))
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,

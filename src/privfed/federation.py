@@ -104,7 +104,6 @@ class RoundResult:
     wall_time_ms: float
     round_index: int
     round_failed: bool = False
-    agg_mode: str = AGG_PLAIN
 
 
 def weighted_average(updates: list[ClientUpdate]) -> np.ndarray:
@@ -192,7 +191,6 @@ class Federation:
         eval_data: LocalDataset,
         net: NetworkConfig,
         session_seed: int,
-        cost: SimCostModel | None = None,
         recorder=None,
     ):
         if not datasets:
@@ -201,7 +199,7 @@ class Federation:
         self.eval_data = eval_data
         self.net = net
         self.session_seed = session_seed
-        self.cost = cost or SimCostModel()
+        self.cost = SimCostModel()
         self.recorder = recorder  # audit hook: .record_budget_charge(...) etc.
         self.trace = EventTrace()
         self.clock_ms = 0.0
@@ -266,7 +264,6 @@ class Federation:
                 wall_time_ms=0.0,
                 round_index=r,
                 round_failed=True,
-                agg_mode=agg_mode,
             )
 
         dim = global_model.shape[0]
@@ -327,7 +324,6 @@ class Federation:
             dropped_ids=dropped,
             wall_time_ms=t_agg - t0,
             round_index=r,
-            agg_mode=agg_mode,
         )
 
     # ------------------------------------------------------------------
@@ -340,7 +336,6 @@ class Federation:
         lr: float,
         dp_policy: UpdatePrivatizer | None = None,
         agg_mode: str = AGG_PLAIN,
-        participating_ids: tuple[str, ...] | None = None,
     ) -> TrainingRun:
         """Sequential rounds, each consuming the previous global model.
 
@@ -350,7 +345,7 @@ class Federation:
         if rounds < 1:
             raise ConfigurationError("rounds must be >= 1")
         model = ensure_vector(initial_model, name="initial_model")
-        ids = tuple(sorted(participating_ids or self.datasets.keys()))
+        ids = tuple(sorted(self.datasets))
         results: list[RoundResult] = []
         any_failed = False
         for r in range(rounds):

@@ -118,17 +118,22 @@ def bucketize(t: TelemetrySnapshot) -> tuple[int, int, int, int, int]:
 # policy and learner
 
 
+# the Q-learner's step size and discount, and its epsilon-greedy schedule
+LEARNING_RATE = 0.25
+DISCOUNT = 0.9
+EXPLORATION_START = 1.0
+EXPLORATION_MIN = 0.05
+EXPLORATION_DECAY = 0.997
+# evaluation rollouts start here, disjoint from the training episodes, so
+# paired baseline comparisons share seeds
+EVAL_EPISODE_OFFSET = 100_000
+
+
 @dataclass
 class GovernancePolicy:
-    """Action-value table over telemetry buckets plus its learning params."""
+    """Action-value table over telemetry buckets."""
 
     actions: tuple = GOVERNANCE_ACTIONS
-    learning_rate: float = 0.25
-    discount: float = 0.9
-    exploration_start: float = 1.0
-    exploration_min: float = 0.05
-    exploration_decay: float = 0.997
-    seed: int = 0
     q_values: dict = field(default_factory=dict)
     fixed_action: GovernanceAction | None = None
 
@@ -150,10 +155,6 @@ class GovernancePolicy:
     def greedy(self, bucket):
         return self.actions[self.greedy_index(bucket)]
 
-    def exploration_at(self, episode: int) -> float:
-        return max(self.exploration_min,
-                   self.exploration_start * self.exploration_decay ** episode)
-
 
 def static_baseline_policy() -> GovernancePolicy:
     """The constant no-op policy: hold the scenario's starting mid-tier
@@ -167,10 +168,7 @@ class ControllerTraining:
     curve: list[dict]  # episode, mean_reward, violations, leakage
 
 
-def train_controller(env, episodes: int, seed: int,
-                     learning_rate: float = 0.25, discount: float = 0.9,
-                     exploration_start: float = 1.0, exploration_min: float = 0.05,
-                     exploration_decay: float = 0.997) -> ControllerTraining:
+def train_controller(env, episodes: int, seed: int) -> ControllerTraining:
     """Tabular Q-learning over the env's bucketized states.
 
     The env owns the reward (for the governance env that is compute_reward
@@ -178,17 +176,13 @@ def train_controller(env, episodes: int, seed: int,
     """
     if episodes < 1:
         raise ConfigurationError("episodes must be >= 1")
-    policy = GovernancePolicy(
-        actions=tuple(env.actions), learning_rate=learning_rate, discount=discount,
-        exploration_start=exploration_start, exploration_min=exploration_min,
-        exploration_decay=exploration_decay, seed=seed,
-    )
+    policy = GovernancePolicy(actions=tuple(env.actions))
     rng = rng_for(seed, "controller")
     curve: list[dict] = []
     for episode in range(episodes):
         state = env.reset(episode)
         bucket = env.bucket(state)
-        epsilon = policy.exploration_at(episode)
+        epsilon = max(EXPLORATION_MIN, EXPLORATION_START * EXPLORATION_DECAY ** episode)
         rewards = []
         violations = 0
         leakage = []
@@ -201,8 +195,8 @@ def train_controller(env, episodes: int, seed: int,
             state, reward, done, info = env.step(policy.actions[action_index])
             next_bucket = env.bucket(state)
             q_row = policy.q(bucket)
-            target = reward if done else reward + discount * policy.q(next_bucket).max()
-            q_row[action_index] += learning_rate * (target - q_row[action_index])
+            target = reward if done else reward + DISCOUNT * policy.q(next_bucket).max()
+            q_row[action_index] += LEARNING_RATE * (target - q_row[action_index])
             bucket = next_bucket
             rewards.append(reward)
             violations += info.get("violations", 0)
@@ -217,13 +211,11 @@ def train_controller(env, episodes: int, seed: int,
     return ControllerTraining(policy=policy, curve=curve)
 
 
-def run_policy(env, policy: GovernancePolicy, episodes: int,
-               episode_offset: int = 100_000) -> dict:
-    """Greedy rollouts for evaluation; offset keeps eval episodes disjoint
-    from training episodes so paired baseline comparisons share seeds."""
+def run_policy(env, policy: GovernancePolicy, episodes: int) -> dict:
+    """Greedy rollouts for evaluation, from episode EVAL_EPISODE_OFFSET on."""
     rewards, violations, leakage = [], 0, []
     for e in range(episodes):
-        state = env.reset(episode_offset + e)
+        state = env.reset(EVAL_EPISODE_OFFSET + e)
         done = False
         while not done:
             action = policy.greedy(env.bucket(state))
@@ -294,8 +286,9 @@ class TinyMdp:
     def bucket(self, state: int) -> int:
         return state
 
-    def optimal_policy_brute_force(self, discount: float = 0.9) -> tuple[int, ...]:
-        """Enumerate all 27 stationary policies; exact policy evaluation."""
+    def optimal_policy_brute_force(self) -> tuple[int, ...]:
+        """Enumerate all 27 stationary policies; exact policy evaluation at
+        the learner's DISCOUNT."""
         best, best_value = None, -np.inf
         for a0 in self.actions:
             for a1 in self.actions:
@@ -307,7 +300,7 @@ class TinyMdp:
                         nxt, reward = self.TABLE[(s, pi[s])]
                         p[s, nxt] = 1.0
                         r[s] = reward
-                    v = np.linalg.solve(np.eye(3) - discount * p, r)
+                    v = np.linalg.solve(np.eye(3) - DISCOUNT * p, r)
                     value = float(v.mean())  # uniform start distribution
                     if value > best_value + 1e-12:
                         best_value, best = value, pi

@@ -41,10 +41,9 @@ def ensure_vector(values, dim: int | None = None, name: str = "vector") -> np.nd
 class SyntheticTask:
     """Seeded synthetic task with a linear ground-truth label rule.
 
-    ``truth_weights`` (feature weights plus trailing bias) may be pinned
-    explicitly; when None they are drawn deterministically from the seed.
-    ``noise`` is the standard deviation of the perturbation added to the
-    linear score before labels are produced.
+    The truth weights (feature weights plus trailing bias) are drawn
+    deterministically from the seed. ``noise`` is the standard deviation of
+    the perturbation added to the linear score before labels are produced.
     """
 
     kind: str
@@ -52,7 +51,6 @@ class SyntheticTask:
     num_samples: int
     noise: float = 0.1
     seed: int = 0
-    truth_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
@@ -63,11 +61,6 @@ class SyntheticTask:
             raise ConfigurationError("num_samples must be >= 1")
         if self.noise < 0:
             raise ConfigurationError("noise must be >= 0")
-        if self.truth_weights is not None and len(self.truth_weights) != self.feature_dim + 1:
-            raise ConfigurationError(
-                f"truth_weights needs {self.feature_dim + 1} entries "
-                f"(features + bias), got {len(self.truth_weights)}"
-            )
 
     @property
     def model_dim(self) -> int:
@@ -75,8 +68,6 @@ class SyntheticTask:
         return self.feature_dim + 1
 
     def truth(self) -> np.ndarray:
-        if self.truth_weights is not None:
-            return ensure_vector(self.truth_weights, self.model_dim, "truth_weights")
         rng = rng_for(self.seed, "truth")
         w = rng.standard_normal(self.feature_dim)
         w *= 2.0 / max(np.linalg.norm(w), 1e-12)

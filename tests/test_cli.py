@@ -273,6 +273,8 @@ def test_governed_attack_run_matches_golden_digests(tmp_path, monkeypatch, kind)
     ["sweep", "--grid", "abc"],
     ["sweep", "--grid=-1"],
     ["sweep", "--grid", "1e400"],
+    ["sweep", "--seeds", "0"],
+    ["sweep", "--seeds=-2"],
 ])
 def test_bad_config_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

@@ -400,6 +400,23 @@ class TestSeal:
         loaded = AuditChain.parse_lines(split_record_lines(file_bytes(recorder.chain)))
         assert loaded.verify()
         assert loaded.seal() == seal and len(loaded.entries) == 2
+        assert loaded.sealed_table().commitment == seal.payload_commitment
+
+    @pytest.mark.parametrize("sealed", [False, True])
+    def test_read_chain_keeps_counting(self, sealed):
+        recorder, _ = charged_recorder({"a": [0.5], "b": [0.25, 0.5]})
+        if sealed:
+            recorder.chain.seal()
+        parsed = AuditChain.parse_lines(split_record_lines(file_bytes(recorder.chain)))
+        for chain in (recorder.chain, parsed):
+            n = len(chain.entries)
+            chain.append(2, "a", "budget-charge", {"epsilon": 0.1}, salt_for(9, n))
+            chain.append(2, "c", "region-transfer", {"region": "us-east"}, salt_for(9, n + 1))
+            chain.append(3, "b", "budget-charge", {"epsilon": 0.2}, salt_for(9, n + 2))
+            chain.seal()
+        assert parsed.to_lines() == recorder.chain.to_lines()
+        assert [e.inst_kind_index for e in parsed.entries[-4:]] == [1, 0, 2, int(sealed)]
+        assert parsed.verify() and recorder.chain.verify()
 
     def test_append_refuses_the_seal_kind(self):
         with pytest.raises(ProtocolError):
