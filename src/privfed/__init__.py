@@ -85,5 +85,6 @@ from .tasks import (
     evaluate,
     generate_task,
     local_train,
+    local_train_stack,
 )
 from .wire import ClientUpdate, MaskedUpdate, TraceEvent

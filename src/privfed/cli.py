@@ -11,13 +11,13 @@ Subcommands:
 Exit codes: run distinguishes success (0), budget exhaustion (4), and round
 failure (5); config validation problems (an unreadable config file and
 non-finite numbers included), counts below 1 (``--episodes``, ``--pairs``,
-``--seeds``) and a bad ``--grid`` epsilon exit 2 after listing every
-violated field. verify-audit exits 0 compliant, 1 non-compliant, 2 invalid
-or tampered, 3 unparseable input (reporting the first malformed line);
-report exits 3 on an unreadable or malformed records file, wrong-typed
-fields included. Any command exits 6 on a numeric failure: training that
-diverged to non-finite weights, or an update outside secure aggregation's
-fixed-point range.
+``--seeds``), a bad ``--grid`` epsilon and two ``--grid`` tokens naming one
+setting exit 2 after listing every violated field. verify-audit exits 0
+compliant, 1 non-compliant, 2 invalid or tampered, 3 unparseable input
+(reporting the first malformed line); report exits 3 on an unreadable or
+malformed records file, wrong-typed fields included. Any command exits 6
+on a numeric failure: training that diverged to non-finite weights, or an
+update outside secure aggregation's fixed-point range.
 """
 
 from __future__ import annotations

@@ -422,7 +422,8 @@ class AuditChain(RecordFile):
         return entry
 
     def append(self, round_index: int, institution_id: str, record_kind: str,
-               payload: dict, salt: bytes) -> AuditEntry:
+               payload: str, salt: bytes) -> AuditEntry:
+        """Append a record committing to ``payload``, its canonical_payload string."""
         if record_kind not in RECORD_KINDS:
             raise ProtocolError(f"unknown record kind {record_kind!r}")
         if not _IDENT.match(institution_id):
@@ -430,7 +431,7 @@ class AuditChain(RecordFile):
         if salt in self._used_salts:
             raise ProtocolError("salt reuse within a chain")
         entry = self._push(round_index, institution_id, record_kind,
-                           commitment(salt, canonical_payload(payload)))
+                           commitment(salt, payload))
         self._used_salts.add(salt)
         return entry
 
@@ -490,8 +491,9 @@ class AuditRecorder:
 
     def _append(self, round_index: int, institution_id: str, kind: str, payload: dict):
         salt = salt_for(self.seed, "audit", len(self.chain.entries))
-        entry = self.chain.append(round_index, institution_id, kind, payload, salt)
-        self.opened_store[entry.sequence_no] = (salt, canonical_payload(payload))
+        payload_str = canonical_payload(payload)
+        entry = self.chain.append(round_index, institution_id, kind, payload_str, salt)
+        self.opened_store[entry.sequence_no] = (salt, payload_str)
         return entry
 
     def record_budget_charge(self, round_index: int, institution_id: str, ledger_entry):

@@ -25,7 +25,7 @@ from .compliance import (
 )
 from .config import ExperimentConfig, config_hash
 from .dp import AccountantLedger, NoiseScale, PrivacyBudget, UpdatePrivatizer, build_privatizer
-from .errors import ConfigurationError, RecordsFormatError
+from .errors import ConfigValidationError, ConfigurationError, RecordsFormatError
 from .federation import Federation, TrainingRun
 from .governance import (
     GovernanceEnv,
@@ -356,10 +356,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
 
 
 def sweep_settings(grid: tuple[str, ...]) -> list[tuple[str, float | None]]:
-    settings = []
+    """(setting label, epsilon or None for no DP) per grid token, in grid order.
+
+    Two tokens naming one setting (``4`` and ``4.0``, or ``inf`` and
+    ``none``) raise ConfigValidationError: the point would train twice.
+    """
+    settings = {}
     for token in grid:
         if token in ("inf", "none", SETTING_NO_DP):
-            settings.append((SETTING_NO_DP, None))
+            label, eps = SETTING_NO_DP, None
         else:
             try:
                 eps = float(token)
@@ -367,8 +372,12 @@ def sweep_settings(grid: tuple[str, ...]) -> list[tuple[str, float | None]]:
                 eps = math.nan
             if not (eps > 0 and math.isfinite(eps)):
                 raise ConfigurationError(f"bad epsilon {token!r} in sweep grid")
-            settings.append((_eps_label(eps), eps))
-    return settings
+            label = _eps_label(eps)
+        if label in settings:
+            raise ConfigValidationError(
+                [f"--grid: {token!r} repeats the setting {label}"])
+        settings[label] = eps
+    return list(settings.items())
 
 
 def run_sweep(config: ExperimentConfig, grid: tuple[str, ...] = ("inf", "4", "2"),
@@ -381,13 +390,14 @@ def run_sweep(config: ExperimentConfig, grid: tuple[str, ...] = ("inf", "4", "2"
     comparison is paired.
     """
     config.validate()
+    settings = sweep_settings(grid)
     h = config_hash(config)
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     report = ExperimentReport(config_hash=h, seed=config.seed, status="completed")
 
-    for label, eps in sweep_settings(grid):
+    for label, eps in settings:
         for s in range(seeds):
             run_seed = derive_seed(config.seed, "sweep", s)
             point = replace(
@@ -507,9 +517,3 @@ def emit_report(report: ExperimentReport, out_dir: str | Path,
         path.write_text(render_table(report), encoding="utf-8")
         written.append(path)
     return written
-
-
-def report_body_lines(records_path: str | Path) -> list[str]:
-    """Report body for determinism comparison: every record except wall-clock."""
-    lines = Path(records_path).read_text(encoding="utf-8").split("\n")
-    return [l for l in lines if l.strip() and '"kind": "timing-wallclock"' not in l]

@@ -25,7 +25,14 @@ from . import secure_agg
 from .dp import NoiseScale, PrivacyBudget, UpdatePrivatizer
 from .errors import BudgetExhausted, ConfigurationError, ProtocolError, ShapeError
 from .seeding import rng_for
-from .tasks import EvalMetrics, LocalDataset, ensure_vector, evaluate, local_train
+from .tasks import (
+    EvalMetrics,
+    LocalDataset,
+    ensure_vector,
+    evaluate,
+    local_train,
+    local_train_stack,
+)
 from .wire import (
     COORDINATOR,
     PAYLOAD_CLIENT_UPDATE,
@@ -129,11 +136,31 @@ def weighted_average(updates: list[ClientUpdate]) -> np.ndarray:
 
 def train_clients(global_model, datasets_by_id: dict[str, LocalDataset], epochs: int,
                   lr: float, round_index: int, privatize=None) -> list[ClientUpdate]:
-    """Local training from the broadcast model, in ``datasets_by_id`` order; then
-    ``privatize(global_model, local, round_index, institution_id)`` if given."""
+    """Local training from the broadcast model; then
+    ``privatize(global_model, local, round_index, institution_id)`` if given.
+
+    Institutions with equal n_i train as one group in a single
+    local_train_stack call (groups in first-seen order; a lone institution
+    goes through local_train, its one-dataset case). Every local model is
+    bit-identical to training that institution alone, so grouping changes no
+    result. Privatizing and the returned updates follow ``datasets_by_id``
+    order.
+    """
+    groups: dict[int, list[str]] = {}
+    for pid, data in datasets_by_id.items():
+        groups.setdefault(data.n, []).append(pid)
+    local_by_id = {}
+    for pids in groups.values():
+        if len(pids) == 1:
+            local_by_id[pids[0]] = local_train(global_model, datasets_by_id[pids[0]],
+                                               epochs, lr)
+        else:
+            stack = local_train_stack(global_model, [datasets_by_id[pid] for pid in pids],
+                                      epochs, lr)
+            local_by_id.update(zip(pids, stack))
     updates = []
     for pid, data in datasets_by_id.items():
-        local = local_train(global_model, data, epochs, lr)
+        local = local_by_id[pid]
         if privatize is not None:
             local = privatize(global_model, local, round_index, pid)
         updates.append(ClientUpdate(pid, local, data.n, round_index))
@@ -180,9 +207,11 @@ class TrainingRun:
 class Federation:
     """Owns the datasets, network, virtual clock, and event trace for one run.
 
-    local_train calls within a round are pure and could execute in parallel;
-    updates are always merged in institution-id order before aggregation so
-    the result is independent of completion order.
+    Local training within a round runs through train_clients: one stacked
+    descent per group of institutions with equal n_i, each row bit-identical
+    to training that institution alone. Updates are always merged in
+    institution-id order before aggregation, so the result does not depend
+    on how institutions are grouped.
     """
 
     def __init__(

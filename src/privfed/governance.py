@@ -247,67 +247,6 @@ def governance_summary(env, policy: GovernancePolicy, episodes: int) -> dict:
 
 
 # --------------------------------------------------------------------------
-# tiny MDP for learner verification
-
-
-class TinyMdp:
-    """Three states, three actions, deterministic dynamics.
-
-    Small immediate rewards bait the learner away from the high-value loop
-    reached via two unrewarded moves; the optimal policy differs per state.
-    """
-
-    N_STATES = 3
-    actions = (0, 1, 2)
-    # (state, action) -> (next_state, reward)
-    TABLE = {
-        (0, 0): (0, 0.1), (0, 1): (1, 0.0), (0, 2): (0, 0.0),
-        (1, 0): (0, 0.0), (1, 1): (1, 0.15), (1, 2): (2, 0.0),
-        (2, 0): (2, 1.0), (2, 1): (0, 0.2), (2, 2): (1, 0.3),
-    }
-
-    def __init__(self, seed: int = 0, horizon: int = 15):
-        self.seed = seed
-        self.horizon = horizon
-        self._state = 0
-        self._steps = 0
-
-    def reset(self, episode: int) -> int:
-        self._state = int(rng_for(self.seed, "tiny-start", episode).integers(self.N_STATES))
-        self._steps = 0
-        return self._state
-
-    def step(self, action: int):
-        nxt, reward = self.TABLE[(self._state, action)]
-        self._state = nxt
-        self._steps += 1
-        return nxt, reward, self._steps >= self.horizon, {}
-
-    def bucket(self, state: int) -> int:
-        return state
-
-    def optimal_policy_brute_force(self) -> tuple[int, ...]:
-        """Enumerate all 27 stationary policies; exact policy evaluation at
-        the learner's DISCOUNT."""
-        best, best_value = None, -np.inf
-        for a0 in self.actions:
-            for a1 in self.actions:
-                for a2 in self.actions:
-                    pi = (a0, a1, a2)
-                    p = np.zeros((3, 3))
-                    r = np.zeros(3)
-                    for s in range(3):
-                        nxt, reward = self.TABLE[(s, pi[s])]
-                        p[s, nxt] = 1.0
-                        r[s] = reward
-                    v = np.linalg.solve(np.eye(3) - DISCOUNT * p, r)
-                    value = float(v.mean())  # uniform start distribution
-                    if value > best_value + 1e-12:
-                        best_value, best = value, pi
-        return best
-
-
-# --------------------------------------------------------------------------
 # the governance environment over a live federation
 
 

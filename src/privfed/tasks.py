@@ -242,28 +242,54 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def local_train(model, data: LocalDataset, epochs: int, lr: float) -> np.ndarray:
-    """Full-batch gradient descent from ``model`` on one institution's data.
+def local_train_stack(model, datasets: list[LocalDataset], epochs: int,
+                      lr: float) -> np.ndarray:
+    """Full-batch gradient descent from ``model`` on each of ``datasets`` at once.
 
-    Returns the updated local weights; the input is never mutated. With
-    epochs=0 or lr=0 the model is returned unchanged. Deterministic: the
-    loss is convex and the descent path is fully fixed by the inputs.
+    Every dataset must have the same n, feature_dim and task kind (else
+    ShapeError). Row p of the returned (P, d) array holds the local weights
+    trained on ``datasets[p]``; the input is never mutated, and with
+    epochs=0 or lr=0 every row equals the model. Deterministic: the loss is
+    convex and the descent path is fully fixed by the inputs.
+
+    Each epoch is one batched matmul per direction over the (P, n, d) design
+    stack, and the transposed stack is a view. Each row therefore takes the
+    BLAS path a lone 2-D descent takes, so it is bit-identical to training
+    that dataset alone. A contiguous transpose, einsum, or zero-padding to a
+    common n each change the summation order and break that equality.
     """
-    w = ensure_vector(model, data.feature_dim + 1, "model")
+    if not datasets:
+        raise ShapeError("need at least one dataset to train")
+    first = datasets[0]
+    shape = (first.n, first.feature_dim, first.task_kind)
+    for data in datasets:
+        if (data.n, data.feature_dim, data.task_kind) != shape:
+            raise ShapeError(f"{data.institution_id} cannot train in a stack with "
+                             f"{first.institution_id}: n, feature_dim or task kind differ")
+    w = ensure_vector(model, first.feature_dim + 1, "model")
     if epochs < 0:
         raise ConfigurationError("epochs must be >= 0")
     if lr < 0:
         raise ConfigurationError("lr must be >= 0")
-    xb = _design_matrix(data)
-    y = data.labels
-    w = w.copy()
+    n = first.n
+    xb = np.ones((len(datasets), n, first.feature_dim + 1))
+    for x, data in zip(xb, datasets):
+        x[:, :-1] = data.features
+    xt = xb.transpose(0, 2, 1)
+    y = np.stack([data.labels for data in datasets])
+    w = np.tile(w, (len(datasets), 1))
     for _ in range(epochs):
-        if data.task_kind == CLASSIFICATION:
-            grad = xb.T @ (_sigmoid(xb @ w) - y) / data.n
-        else:
-            grad = xb.T @ (xb @ w - y) / data.n
-        w -= lr * grad
+        z = np.matmul(xb, w[:, :, None])[:, :, 0]
+        if first.task_kind == CLASSIFICATION:
+            z = _sigmoid(z)
+        w -= lr * (np.matmul(xt, (z - y)[:, :, None])[:, :, 0] / n)
     return w
+
+
+def local_train(model, data: LocalDataset, epochs: int, lr: float) -> np.ndarray:
+    """Full-batch gradient descent from ``model`` on one institution's data:
+    the one-dataset case of local_train_stack."""
+    return local_train_stack(model, [data], epochs, lr)[0]
 
 
 def predict_scores(model, data: LocalDataset) -> np.ndarray:

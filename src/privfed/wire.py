@@ -90,9 +90,6 @@ class EventTrace:
         self.events.append(ev)
         return ev
 
-    def of_kind(self, *kinds: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind in kinds]
-
     def __len__(self) -> int:
         return len(self.events)
 

@@ -32,7 +32,6 @@ from privfed.dp import (
 )
 from privfed.errors import BudgetExhausted, ChainFormatError
 from privfed.experiment import (
-    report_body_lines,
     run_experiment,
     run_sweep,
     sweep_table,
@@ -42,13 +41,14 @@ from privfed.governance import (
     GovernanceEnv,
     RewardWeights,
     ScenarioConfig,
-    TinyMdp,
     run_policy,
     static_baseline_policy,
     train_controller,
 )
 from privfed.tasks import SyntheticTask, generate_task, sample_dataset
 from privfed.wire import ClientUpdate
+
+from support import TinyMdp, report_body_lines
 
 
 def report(name: str, detail: str):

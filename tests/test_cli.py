@@ -7,7 +7,8 @@ import pytest
 from privfed.cli import main
 from privfed.compliance import PolicySpec, Verdict, audit_verdict
 from privfed.config import ExperimentConfig, write_config
-from privfed.experiment import report_body_lines
+
+from support import report_body_lines
 
 
 def cfg_file(tmp_path, **overrides) -> Path:
@@ -275,6 +276,8 @@ def test_governed_attack_run_matches_golden_digests(tmp_path, monkeypatch, kind)
     ["sweep", "--grid", "1e400"],
     ["sweep", "--seeds", "0"],
     ["sweep", "--seeds=-2"],
+    ["sweep", "--grid", "4,4.0"],
+    ["sweep", "--grid", "inf,2,none"],
 ])
 def test_bad_config_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

@@ -23,6 +23,7 @@ from privfed.compliance import (
     _path_root,
     _table_commitment,
     audit_verdict,
+    canonical_payload,
     prove_budget_compliance,
     prove_compliance,
     split_record_lines,
@@ -53,14 +54,14 @@ def charged_recorder(charges_by_inst, seed=0, cap_eps=10.0):
 class TestChain:
     def test_genesis_entry(self):
         chain = AuditChain()
-        entry = chain.append(0, "a", "budget-charge", {"x": 1}, salt_for(0, 0))
+        entry = chain.append(0, "a", "budget-charge", canonical_payload({"x": 1}), salt_for(0, 0))
         assert entry.sequence_no == 0
         assert entry.prev_hash == GENESIS
 
     def test_chaining_links_prev_hash(self):
         chain = AuditChain()
-        e0 = chain.append(0, "a", "budget-charge", {"x": 1}, salt_for(0, 0))
-        e1 = chain.append(1, "a", "budget-charge", {"x": 2}, salt_for(0, 1))
+        e0 = chain.append(0, "a", "budget-charge", canonical_payload({"x": 1}), salt_for(0, 0))
+        e1 = chain.append(1, "a", "budget-charge", canonical_payload({"x": 2}), salt_for(0, 1))
         assert e1.prev_hash == e0.entry_hash
         assert chain.head_hash == e1.entry_hash
 
@@ -68,7 +69,7 @@ class TestChain:
         chain = AuditChain()
         for i in range(100):
             chain.append(i, f"inst{i % 4}", "region-transfer",
-                         {"region": "us-east", "round": i}, salt_for(1, i))
+                         canonical_payload({"region": "us-east", "round": i}), salt_for(1, i))
         assert chain.verify()
 
     def test_empty_chain_verifies(self):
@@ -77,7 +78,8 @@ class TestChain:
     def test_bit_flip_in_any_entry_fails_verification(self):
         chain = AuditChain()
         for i in range(5):
-            chain.append(i, "a", "budget-charge", {"eps": 0.1 * i}, salt_for(2, i))
+            chain.append(i, "a", "budget-charge", canonical_payload({"eps": 0.1 * i}),
+                         salt_for(2, i))
         target = chain.entries[2]
         flipped_commit = bytes([target.payload_commitment[0] ^ 1]) + target.payload_commitment[1:]
         tampered = dataclasses.replace(target, payload_commitment=flipped_commit)
@@ -87,21 +89,21 @@ class TestChain:
     def test_deleted_entry_breaks_chain(self):
         chain = AuditChain()
         for i in range(6):
-            chain.append(i, "a", "policy-decision", {"d": i}, salt_for(3, i))
+            chain.append(i, "a", "policy-decision", canonical_payload({"d": i}), salt_for(3, i))
         del chain.entries[3]
         assert not chain.verify()
 
     def test_salt_reuse_rejected(self):
         chain = AuditChain()
-        chain.append(0, "a", "budget-charge", {"x": 1}, salt_for(4, 0))
+        chain.append(0, "a", "budget-charge", canonical_payload({"x": 1}), salt_for(4, 0))
         with pytest.raises(ProtocolError):
-            chain.append(1, "a", "budget-charge", {"x": 2}, salt_for(4, 0))
+            chain.append(1, "a", "budget-charge", canonical_payload({"x": 2}), salt_for(4, 0))
 
     def test_file_round_trip(self, tmp_path):
         chain = AuditChain()
         for i in range(10):
             chain.append(i, f"inst{i % 2}", "region-transfer",
-                         {"region": "eu-west", "round": i}, salt_for(5, i))
+                         canonical_payload({"region": "eu-west", "round": i}), salt_for(5, i))
         path = tmp_path / "audit.chain"
         chain.write(path)
         loaded = AuditChain.read(path)
@@ -189,7 +191,7 @@ NON_CANONICAL_FIELDS = [
 class TestCanonicalFields:
     def entry_line(self, field, respell):
         chain = AuditChain()
-        chain.append(1, "a", "budget-charge", {"x": 1}, salt_for(6, 0))
+        chain.append(1, "a", "budget-charge", canonical_payload({"x": 1}), salt_for(6, 0))
         parts = chain.entries[0].to_line().split("|")
         parts[field] = respell(parts[field])
         return "|".join(parts)
@@ -410,9 +412,12 @@ class TestSeal:
         parsed = AuditChain.parse_lines(split_record_lines(file_bytes(recorder.chain)))
         for chain in (recorder.chain, parsed):
             n = len(chain.entries)
-            chain.append(2, "a", "budget-charge", {"epsilon": 0.1}, salt_for(9, n))
-            chain.append(2, "c", "region-transfer", {"region": "us-east"}, salt_for(9, n + 1))
-            chain.append(3, "b", "budget-charge", {"epsilon": 0.2}, salt_for(9, n + 2))
+            chain.append(2, "a", "budget-charge", canonical_payload({"epsilon": 0.1}),
+                         salt_for(9, n))
+            chain.append(2, "c", "region-transfer", canonical_payload({"region": "us-east"}),
+                         salt_for(9, n + 1))
+            chain.append(3, "b", "budget-charge", canonical_payload({"epsilon": 0.2}),
+                         salt_for(9, n + 2))
             chain.seal()
         assert parsed.to_lines() == recorder.chain.to_lines()
         assert [e.inst_kind_index for e in parsed.entries[-4:]] == [1, 0, 2, int(sealed)]
@@ -420,7 +425,8 @@ class TestSeal:
 
     def test_append_refuses_the_seal_kind(self):
         with pytest.raises(ProtocolError):
-            AuditChain().append(0, "coordinator", SEAL_KIND, {"x": 1}, salt_for(0, 0))
+            AuditChain().append(0, "coordinator", SEAL_KIND, canonical_payload({"x": 1}),
+                                salt_for(0, 0))
 
     def test_seal_with_a_wrong_commitment_is_refused(self, tmp_path, capsys):
         recorder, ledgers = charged_recorder({"a": [0.5], "b": [0.25]})

@@ -9,11 +9,12 @@ from privfed.experiment import (
     parse_record_lines,
     records_to_lines,
     render_table,
-    report_body_lines,
     run_experiment,
     run_sweep,
     sweep_table,
 )
+
+from support import report_body_lines
 
 
 def small_config(**overrides):

@@ -14,6 +14,8 @@ from privfed.federation import (
 from privfed.tasks import CLASSIFICATION, SyntheticTask, generate_task, local_train, sample_dataset
 from privfed.wire import ClientUpdate, NETWORK_PAYLOADS
 
+from support import of_kind
+
 
 def fsum_weighted_mean(updates):
     """Brute-force oracle: per-coordinate math.fsum of n_i * w_i / n_total."""
@@ -128,7 +130,7 @@ class TestRunRound:
         _, fed = make_federation(num_inst=4)
         cfg = RoundConfig(0, tuple(sorted(fed.datasets)), 1, 0.5)
         fed.run_round(np.zeros(7), cfg, agg_mode="secure")
-        inbound = [e for e in fed.trace.of_kind("send", "receive")
+        inbound = [e for e in of_kind(fed.trace, "send", "receive")
                    if e.target == "coordinator" or e.source == "coordinator"]
         client_to_coord = [e for e in inbound if e.kind in ("send", "receive")
                            and e.payload != "global-model"]
@@ -139,7 +141,7 @@ class TestRunRound:
         _, fed = make_federation(num_inst=3)
         cfg = RoundConfig(0, tuple(sorted(fed.datasets)), 2, 0.5)
         fed.run_round(np.zeros(7), cfg, agg_mode="plain")
-        for event in fed.trace.of_kind("broadcast", "send", "receive"):
+        for event in of_kind(fed.trace, "broadcast", "send", "receive"):
             assert event.payload in NETWORK_PAYLOADS
 
     def test_unknown_institution_rejected(self):
@@ -156,10 +158,10 @@ class TestDpIntegration:
         fed.ledgers = {pid: AccountantLedger(pid, cap) for pid in fed.datasets}
         dp = build_privatizer(cap, clip_norm=1.0, rounds=4, seed=2)
         fed.run_training(np.zeros(7), rounds=4, local_epochs=1, lr=0.5, dp_policy=dp)
-        sends = [e for e in fed.trace.of_kind("send")]
+        sends = [e for e in of_kind(fed.trace, "send")]
         assert sends
         for send in sends:
-            applied = [e for e in fed.trace.of_kind("dp-apply")
+            applied = [e for e in of_kind(fed.trace, "dp-apply")
                        if e.round_index == send.round_index
                        and e.source == send.source and e.index < send.index]
             assert applied, f"update sent without DP at round {send.round_index}"

@@ -9,13 +9,14 @@ from privfed.governance import (
     RewardWeights,
     ScenarioConfig,
     TelemetrySnapshot,
-    TinyMdp,
     bucketize,
     compute_reward,
     run_policy,
     static_baseline_policy,
     train_controller,
 )
+
+from support import TinyMdp
 
 
 def snapshot(accuracy=0.9, leakage=0.1, latency=0.2, violations=0, utilization=0.0):

@@ -1,6 +1,7 @@
 """Property tests for the audit and ledger readers and the compliance proofs:
 typed failures on any input, exact write -> read round trips, and proof
-verdicts equal to the ones the full chain gives."""
+verdicts equal to the ones the full chain gives. Also: grouped local
+training equal, bit for bit, to training each institution alone."""
 
 import json
 from types import SimpleNamespace
@@ -8,7 +9,8 @@ from types import SimpleNamespace
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+import numpy as np
+from hypothesis import assume, example, given, settings, strategies as st
 
 from privfed.compliance import (
     CHAIN_HEADER,
@@ -25,13 +27,18 @@ from privfed.compliance import (
     PolicySpec,
     Verdict,
     audit_verdict,
+    canonical_payload,
     prove_compliance,
     split_record_lines,
     verify_proof,
 )
 from privfed.dp import AccountantLedger, NoiseScale, PrivacyBudget
 from privfed.errors import ChainFormatError, LedgerError
-from privfed.seeding import salt_for
+from privfed.federation import train_clients
+from privfed.seeding import rng_for, salt_for
+from privfed.tasks import TASK_KINDS, SyntheticTask, generate_task
+
+from support import reference_local_train
 
 # derandomized so that the suite is repeatable; small so that it stays quick
 FAST = settings(max_examples=300, deadline=None, derandomize=True)
@@ -110,7 +117,7 @@ appends = st.lists(
 def test_chain_write_read_round_trip(records, seed):
     chain = AuditChain()
     for i, (round_index, inst, kind, payload) in enumerate(records):
-        chain.append(round_index, inst, kind, payload, salt_for(seed, i))
+        chain.append(round_index, inst, kind, canonical_payload(payload), salt_for(seed, i))
     text = "\n".join(chain.to_lines()) + "\n"
     loaded = AuditChain.parse_lines(split_record_lines(text.encode()))
     assert loaded.to_lines() == chain.to_lines()
@@ -250,3 +257,34 @@ def test_ledger_reads_back_exactly_and_refuses_respellings(tmp_path_factory, spe
     respelled = LINE_RESPELLINGS[respelling](written, at)
     with pytest.raises(LedgerError):
         read_file(tmp_path_factory, AccountantLedger, "\n".join(respelled))
+
+
+# sizes from a narrow range, so most draws mix groups of equal n_i with
+# institutions of their own size
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(TASK_KINDS), st.lists(st.integers(1, 4), min_size=1, max_size=7),
+       st.integers(1, 4), st.integers(0, 4), st.sampled_from([0.0, 0.3, 1.0]),
+       st.booleans(), st.integers(0, 2**16))
+@example("binary-classification", [3], 2, 3, 0.3, False, 0)  # one institution
+@example("regression", [2, 2, 2], 3, 0, 0.3, False, 1)  # epochs=0, one group
+@example("binary-classification", [4, 1, 4, 2], 2, 3, 0.0, True, 2)  # lr=0, mixed
+def test_grouped_training_equals_the_per_institution_reference(kind, sizes, dim, epochs, lr,
+                                                                reverse, seed):
+    task = SyntheticTask(kind, dim, sum(sizes), seed=seed)
+    datasets = generate_task(task, len(sizes), sizes=sizes)
+    if reverse:
+        datasets.reverse()
+    by_id = {data.institution_id: data for data in datasets}
+    model = rng_for(seed, "model").standard_normal(task.model_dim)
+    privatized = []
+
+    def privatize(global_model, local, round_index, pid):
+        privatized.append(pid)
+        return local
+
+    updates = train_clients(model, by_id, epochs, lr, 3, privatize)
+    assert privatized == list(by_id)
+    assert [u.institution_id for u in updates] == list(by_id)
+    for update, data in zip(updates, datasets):
+        assert update.n_i == data.n and update.round_index == 3
+        assert np.array_equal(update.weights, reference_local_train(model, data, epochs, lr))

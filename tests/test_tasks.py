@@ -11,6 +11,7 @@ from privfed.tasks import (
     generate_task,
     _sigmoid,
     local_train,
+    local_train_stack,
     per_sample_loss,
     predict_scores,
     rank_auc,
@@ -114,6 +115,11 @@ class TestLocalTrain:
         assert perceptron_finds_separator(data)  # oracle: a separator exists
         model = local_train(np.zeros(3), data, 50, 1.0)
         assert evaluate(model, data).accuracy == 1.0
+
+    def test_stack_of_unequal_sizes_raises(self):
+        small, large = generate_task(SyntheticTask(CLASSIFICATION, 2, 7, seed=3), 2, sizes=[3, 4])
+        with pytest.raises(ShapeError):
+            local_train_stack(np.zeros(3), [small, large], 1, 0.1)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ShapeError):
