@@ -43,7 +43,7 @@ def pair_seed(round_index: int, id_a: str, id_b: str, session_seed: int) -> int:
     """Shared 64-bit seed for the unordered pair (id_a, id_b) in one round."""
     if id_a == id_b:
         raise ProtocolError(f"duplicate participant id {id_a!r}")
-    lo, hi = sorted((id_a, id_b))
+    lo, hi = (id_a, id_b) if id_a < id_b else (id_b, id_a)
     text = f"mask/{int(session_seed)}/{int(round_index)}/{lo}/{hi}"
     return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
 
@@ -51,33 +51,34 @@ def pair_seed(round_index: int, id_a: str, id_b: str, session_seed: int) -> int:
 # Philox4x64-10 (Salmon et al., SC 2011) exactly as numpy's Philox bit
 # generator runs it: key (seed, 0); block b of the stream is the cipher of
 # counter (b + 1, 0, 0, 0), because numpy bumps the counter before it
-# generates; ten rounds with a Weyl bump of the key between rounds.
-_PHILOX_M0 = 0xD2E7470EE14C6C93
-_PHILOX_M1 = 0xCA5A826395121157
+# generates; ten rounds with a Weyl bump of the key between rounds. The
+# second key word does not depend on the seed, so its ten values are fixed.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)
 _PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
-_PHILOX_W1 = 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
+_PHILOX_K1 = [np.uint64(r * 0xBB67AE8584CAA73B % (1 << 64)) for r in range(_PHILOX_ROUNDS)]
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 # Mask values expanded per kernel call. Pairs are taken in chunks of about
-# this many values, so the kernel's working set stays near 0.7 MiB whatever
+# this many values, so the kernel's working set stays under 0.5 MiB whatever
 # the number of participants or the dimension.
-MASK_CHUNK_VALUES = 1 << 14
+MASK_CHUNK_VALUES = 1 << 13
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products m * x.
+def _mulhilo(x: np.ndarray, m: np.ndarray, m_lo: np.ndarray,
+             m_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products m * x, elementwise;
+    ``m_lo`` and ``m_hi`` are the 32-bit halves of ``m``.
 
     numpy has no 128-bit integers, so the high word is assembled from 32-bit
     halves in wrapping uint64 arithmetic; no partial sum can overflow.
     """
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     x_lo, x_hi = x & _LO32, x >> _SHIFT32
     hi_lo = x_hi * m_lo
     cross = ((x_lo * m_lo) >> _SHIFT32) + (hi_lo & _LO32) + x_lo * m_hi
     hi = x_hi * m_hi + (hi_lo >> _SHIFT32) + (cross >> _SHIFT32)
-    return hi, x * np.uint64(m)
+    return hi, x * m
 
 
 def philox_words(seeds: np.ndarray, blocks: int) -> np.ndarray:
@@ -85,21 +86,28 @@ def philox_words(seeds: np.ndarray, blocks: int) -> np.ndarray:
 
     Row i equals the words ``np.random.Philox(key=seeds[i]).random_raw``
     would return, for all seeds in one pass of array arithmetic.
+
+    Each round multiplies counter words 0 and 2, by M0 and M1. The two words
+    of every (seed, block) are the two rows of one array and the multipliers
+    two rows of the same shape, so one product covers both words, and no
+    operand broadcasts: numpy then runs each operation as one flat loop.
     """
-    k0 = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
-    k1 = 0
-    # the counter words broadcast from (1, blocks) and the key from (len, 1);
-    # after the third round every word is a full (len, blocks) array
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64).reshape(1, -1)
-    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0 = k0 + _PHILOX_W0
-            k1 = (k1 + _PHILOX_W1) % (1 << 64)
-        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-    return np.stack((c0, c1, c2, c3), axis=-1).reshape(len(k0), 4 * blocks)
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    k0 = np.repeat(seeds, blocks)
+    m = np.repeat(_PHILOX_M[:, None], len(k0), axis=1)
+    m_lo, m_hi = m & _LO32, m >> _SHIFT32
+    x = np.zeros((2, len(k0)), dtype=np.uint64)  # words (c0, c2)
+    x[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(seeds))
+    y = np.zeros_like(x)  # words (c3, c1)
+    for k1 in _PHILOX_K1:
+        hi, lo = _mulhilo(x, m, m_lo, m_hi)
+        hi ^= y
+        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
+        np.bitwise_xor(hi[1], k0, out=x[0])
+        np.bitwise_xor(hi[0], k1, out=x[1])
+        y = lo
+        k0 += _PHILOX_W0
+    return np.stack((x[0], y[1], x[1], y[0]), axis=-1).reshape(len(seeds), 4 * blocks)
 
 
 def _triangle_chunks(n: int, size: int):

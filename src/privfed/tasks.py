@@ -311,8 +311,12 @@ def per_sample_loss(scores, data: LocalDataset) -> np.ndarray:
 def rank_auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
     """Rank-statistic AUC with mid-rank tie handling.
 
-    None when only one class is present. Invariant under strictly monotone
-    transformations of the scores.
+    A stable mergesort orders the scores; each run of equal sorted scores is
+    one tie group, found by a single comparison between neighbours, and every
+    member of a group gets the group's 1-based mid-rank
+    ``0.5 * (first + last) + 1``. The AUC follows from the positives' rank
+    sum. None when only one class is present. Invariant under strictly
+    monotone transformations of the scores.
     """
     pos = labels > 0.5
     n_pos = int(pos.sum())
@@ -320,15 +324,12 @@ def rank_auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
     if n_pos == 0 or n_neg == 0:
         return None
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # mid-rank, 1-based
-        i = j + 1
+    n = len(sorted_scores)
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], n] - 1
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     rank_sum = float(ranks[pos].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -26,6 +26,46 @@ def reference_local_train(model, data: LocalDataset, epochs: int, lr: float) -> 
     return w
 
 
+def reference_rank_auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
+    """Mid-rank AUC with a scalar loop over the sorted scores: the oracle
+    that tasks.rank_auc must equal bit for bit."""
+    pos = labels > 0.5
+    n_pos = int(pos.sum())
+    n_neg = int(len(labels) - n_pos)
+    if n_pos == 0 or n_neg == 0:
+        return None
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # mid-rank, 1-based
+        i = j + 1
+    rank_sum = float(ranks[pos].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def reference_best_threshold(member_losses: np.ndarray, nonmember_losses: np.ndarray) -> float:
+    """The threshold search as one loop over the candidates, each scored by
+    two full-array means: the oracle that attacks._best_threshold must equal
+    bit for bit."""
+    values = np.unique(np.concatenate([member_losses, nonmember_losses]))
+    candidates = np.concatenate([
+        [values[0] - 1.0],
+        (values[:-1] + values[1:]) / 2.0,
+        [values[-1] + 1.0],
+    ])
+    best_tau, best_acc = candidates[0], -1.0
+    for tau in candidates:
+        acc = 0.5 * (member_losses <= tau).mean() + 0.5 * (nonmember_losses > tau).mean()
+        if acc > best_acc:
+            best_acc, best_tau = acc, float(tau)
+    return best_tau
+
+
 def of_kind(trace, *kinds: str) -> list:
     """The events of ``trace`` whose kind is one of ``kinds``, in order."""
     return [e for e in trace.events if e.kind in kinds]

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from privfed.attacks import (
     AttackResult,
+    _best_threshold,
     QueryInterface,
     TrainingRecipe,
     leakage_signal,
@@ -16,12 +18,61 @@ from privfed.dp import NoiseScale
 from privfed.errors import ConfigurationError, EvaluationError
 from privfed.tasks import CLASSIFICATION, SyntheticTask, sample_dataset
 
+from support import reference_best_threshold
+
 
 def spearman(xs, ys):
     """Rank correlation without ties (tier means are distinct floats)."""
     rx = np.argsort(np.argsort(xs))
     ry = np.argsort(np.argsort(ys))
     return float(np.corrcoef(rx, ry)[0, 1])
+
+
+class TestBestThreshold:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 2000), k=st.integers(1, 2000),
+           ties=st.sampled_from(["none", "rounded", "shared", "constant"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(m=2000, k=1999, ties="none", seed=1)
+    @example(m=2000, k=700, ties="rounded", seed=2)
+    @example(m=1, k=2000, ties="shared", seed=3)
+    def test_equals_the_loop_reference_bit_for_bit(self, m, k, ties, seed):
+        rng = np.random.default_rng(seed)
+        members = rng.exponential(0.5, m)
+        nonmembers = rng.exponential(1.0, k)
+        if ties == "rounded":
+            members, nonmembers = np.round(members, 1), np.round(nonmembers, 1)
+        elif ties == "shared":
+            # losses duplicated across the two sets
+            nonmembers[: k // 2] = rng.choice(members, k // 2)
+        elif ties == "constant":
+            members, nonmembers = np.full(m, 0.25), np.full(k, 0.25)
+        got = _best_threshold(members, nonmembers)
+        assert type(got) is float
+        assert got == reference_best_threshold(members, nonmembers)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(0.0, 50.0) | st.sampled_from([0.0, 0.5, 1.0]),
+                    min_size=1, max_size=40),
+           st.lists(st.floats(0.0, 50.0) | st.sampled_from([0.0, 0.5, 1.0]),
+                    min_size=1, max_size=40))
+    def test_drawn_losses_equal_the_loop_reference(self, members, nonmembers):
+        members, nonmembers = np.array(members), np.array(nonmembers)
+        assert _best_threshold(members, nonmembers) == reference_best_threshold(
+            members, nonmembers)
+
+    def test_first_of_equal_maxima_wins(self):
+        # candidates 1.5 and 4.5 both score 0.75; the smaller is kept
+        assert _best_threshold(np.array([1.0, 4.0]), np.array([2.0, 5.0])) == 1.5
+        # nothing separates identical sets, so the lowest candidate stays
+        assert _best_threshold(np.array([2.0]), np.array([2.0])) == 1.0
+
+    def test_midpoint_that_rounds_onto_a_loss_counts_it_as_below(self):
+        # the midpoint of two neighbouring floats rounds to 1.0 itself; the
+        # member at 1.0 is on the 'loss <= tau' side, so 1.0 separates the sets
+        members, nonmembers = np.array([1.0]), np.array([np.nextafter(1.0, 2.0)])
+        assert _best_threshold(members, nonmembers) == 1.0
+        assert reference_best_threshold(members, nonmembers) == 1.0
 
 
 class TestShadowModels:

@@ -269,6 +269,20 @@ def test_governed_attack_run_matches_golden_digests(tmp_path, monkeypatch, kind)
     assert hashlib.sha256(chain).hexdigest() == GOVERNED_GOLDEN_CHAIN
 
 
+# The attack study's report body pins every threshold search and rank AUC
+# of its 3 overfit pairs. Its config_hash is the constant "attack-study", so
+# the output directory does not enter it. Recorded with the loop
+# implementations that tests/support.py keeps as oracles.
+ATTACK_GOLDEN_BODY = "820ee3f2367591c80f99b30fb0731e8d19198f5217812f2fbe11770cd7adff0c"
+
+
+def test_attack_study_matches_golden_digest(tmp_path):
+    out = tmp_path / "out"
+    assert main(["attack", "--pairs", "3", "--format", "records", "--out", str(out)]) == 0
+    body = "\n".join(report_body_lines(out / "report.records")).encode()
+    assert hashlib.sha256(body).hexdigest() == ATTACK_GOLDEN_BODY
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--config", "missing.cfg"],
     ["sweep", "--grid", "abc"],

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from privfed.errors import ConfigurationError, EvaluationError, ShapeError
 from privfed.tasks import (
@@ -17,6 +18,8 @@ from privfed.tasks import (
     rank_auc,
     sample_dataset,
 )
+
+from support import reference_rank_auc
 
 
 def mean_loss(model, data):
@@ -183,6 +186,36 @@ class TestEvaluate:
         base = rank_auc(scores, labels)
         assert rank_auc(np.exp(4.0 * scores), labels) == pytest.approx(base, abs=1e-12)
         assert rank_auc(2.0 * scores - 7.0, labels) == pytest.approx(base, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 2000), ties=st.sampled_from(["none", "rounded", "constant"]),
+           positive_share=st.sampled_from([0.0, 0.03, 0.5, 0.9, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=2000, ties="none", positive_share=0.5, seed=1)
+    @example(n=2000, ties="rounded", positive_share=0.03, seed=2)
+    @example(n=1, ties="none", positive_share=1.0, seed=3)
+    def test_auroc_equals_the_loop_reference_bit_for_bit(self, n, ties, positive_share,
+                                                         seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.standard_normal(n)
+        if ties == "rounded":
+            scores = np.round(scores, 1)  # about 60 distinct values, long tie groups
+        elif ties == "constant":
+            scores = np.full(n, scores[0])
+        labels = (rng.random(n) < positive_share).astype(np.float64)
+        got, want = rank_auc(scores, labels), reference_rank_auc(scores, labels)
+        if want is None:
+            assert got is None
+        else:
+            assert type(got) is float and got == want
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1.0]),
+                              st.booleans()), min_size=1, max_size=60))
+    def test_auroc_on_drawn_floats_equals_the_loop_reference(self, rows):
+        scores = np.array([s for s, _ in rows])
+        labels = np.array([float(y) for _, y in rows])
+        assert rank_auc(scores, labels) == reference_rank_auc(scores, labels)
 
     def test_single_class_has_no_auroc(self):
         x = np.ones((5, 2))
