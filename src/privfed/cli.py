@@ -54,47 +54,30 @@ from .experiment import (
     parse_record_lines,
     render_table,
     run_experiment,
+    run_governance,
     run_sweep,
-)
-from .governance import (
-    GovernanceEnv,
-    RewardWeights,
-    ScenarioConfig,
-    governance_summary,
-    train_controller,
 )
 from .seeding import derive_seed
 
 STATUS_EXIT = {"completed": 0, "budget-exhausted": 4, "round-failure": 5}
 
-FORMATS = {"table": ("table",), "records": ("records",), "both": ("records", "table")}
-
 
 def _load_config(args) -> ExperimentConfig:
     config = load_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.out is not None:
-        config = replace(config, output_dir=args.out)
-    elif os.environ.get("PRIVFED_OUT") and not args.config:
-        config = replace(config, output_dir=os.environ["PRIVFED_OUT"])
-    config.validate()
-    return config
+    return config if args.seed is None else replace(config, seed=args.seed)
 
 
-def _out_dir(args, config: ExperimentConfig | None = None) -> Path:
-    if args.out:
-        return Path(args.out)
-    if config is not None:
-        return Path(config.output_dir)
-    return Path(os.environ.get("PRIVFED_OUT", "out"))
+def _out_dir(args) -> Path:
+    """``--out``, else ``PRIVFED_OUT``, else ``out``."""
+    return Path(args.out or os.environ.get("PRIVFED_OUT") or "out")
 
 
 def cmd_run(args) -> int:
     config = _load_config(args)
-    report = run_experiment(config, _out_dir(args, config), FORMATS[args.format])
+    out = _out_dir(args)
+    report = run_experiment(config, out)
     print(f"config {config_hash(config)[:16]} status={report.status} "
-          f"rounds={len(report.rounds)} out={_out_dir(args, config)}")
+          f"rounds={len(report.rounds)} out={out}")
     return STATUS_EXIT.get(report.status, 0)
 
 
@@ -103,8 +86,7 @@ def cmd_sweep(args) -> int:
         raise ConfigValidationError(["--seeds: must be >= 1"])
     config = _load_config(args)
     grid = tuple(token.strip() for token in args.grid.split(","))
-    report = run_sweep(config, grid, args.seeds, _out_dir(args, config),
-                       FORMATS[args.format])
+    report = run_sweep(config, grid, args.seeds, _out_dir(args))
     sys.stdout.write(render_table(report))
     return STATUS_EXIT.get(report.status, 0)
 
@@ -132,8 +114,7 @@ def cmd_attack(args) -> int:
     mean_plain = float(np.mean([p.advantage for p, _ in rows]))
     mean_noised = float(np.mean([n.advantage for _, n in rows]))
     mean_cal = float(np.mean([c.advantage for c in calibration]))
-    out = _out_dir(args)
-    emit_report(report, out, FORMATS[args.format])
+    emit_report(report, _out_dir(args))
     print(f"no-dp mean advantage      {mean_plain:+.3f}")
     print(f"strong-dp mean advantage  {mean_noised:+.3f}")
     print(f"untrained calibration     {mean_cal:+.3f}")
@@ -146,19 +127,11 @@ def cmd_govern_train(args) -> int:
     if args.episodes is not None and args.episodes < 1:
         raise ConfigValidationError(["--episodes: must be >= 1"])
     config = _load_config(args)
-    weights = RewardWeights(config.governance_alpha, config.governance_beta,
-                            config.governance_gamma)
     episodes = config.governance_episodes if args.episodes is None else args.episodes
-    env = GovernanceEnv(ScenarioConfig(), weights,
-                        seed=derive_seed(config.seed, "governance"))
-    training = train_controller(env, episodes, derive_seed(config.seed, "controller"))
-
     report = ExperimentReport(config_hash=config_hash(config), seed=config.seed,
                               status="completed")
-    report.governance_curve = training.curve
-    report.governance_summary = governance_summary(env, training.policy, episodes=3)
-    out = _out_dir(args, config)
-    emit_report(report, out, FORMATS[args.format])
+    run_governance(config, episodes, report)
+    emit_report(report, _out_dir(args))
     g = report.governance_summary
     print(f"episodes={episodes} "
           f"violations {g['trained_violations']} vs {g['baseline_violations']} "
@@ -217,12 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_format=True):
+    def common(p):
         p.add_argument("--config", type=str, default=None, help="config file path")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        if with_format:
-            p.add_argument("--format", choices=sorted(FORMATS), default="both")
+        p.add_argument("--out", type=str, default=None,
+                       help="output directory (default: $PRIVFED_OUT, else out)")
 
     p_run = sub.add_parser("run", help="execute one configured pipeline")
     common(p_run)

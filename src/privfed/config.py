@@ -3,7 +3,9 @@
 A config file is ``key=value`` lines (``#`` comments allowed). The canonical
 serialization sorts keys and normalizes value formatting; its SHA-256 is the
 config hash stamped on every report record, so any two runs with equal
-hashes are replaying the same experiment.
+hashes are replaying the same experiment. Where a run writes its artifacts
+is not part of the config. Each field's annotation names how its value is
+parsed.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ class ExperimentConfig:
     policy_max_rounds: int = 1000
 
     seed: int = 0
-    output_dir: str = "out"
 
     # ---- field <-> dotted key mapping -------------------------------------
 
@@ -76,7 +77,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Collect every violated field and raise once, listing them all."""
         errors = [f"{self.key_for(f.name)}: must be a finite number"
-                  for f in fields(self) if _FIELD_KINDS[f.name] == "float"
+                  for f in fields(self) if f.type == "float"
                   and not math.isfinite(getattr(self, f.name))]
         if self.task_kind not in TASK_KINDS:
             errors.append(f"task.kind: unknown kind {self.task_kind!r}")
@@ -176,7 +177,9 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _parse_value(field_name: str, text: str, kind):
+def _parse_value(field_name: str, text: str, kind: str):
+    """``text`` as a value of the field annotation ``kind`` (one of the
+    spellings ExperimentConfig uses)."""
     text = text.strip()
     if kind == "bool":
         if text not in ("true", "false"):
@@ -186,34 +189,13 @@ def _parse_value(field_name: str, text: str, kind):
         return int(text)
     if kind == "float":
         return float(text)
-    if kind == "int_tuple":
+    if kind == "tuple[int, ...] | None":
         if text == "none":
             return None
         return tuple(int(v) for v in text.split(","))
-    if kind == "str_tuple":
+    if kind == "tuple[str, ...]":
         return tuple(v.strip() for v in text.split(",") if v.strip())
     return text
-
-
-_FIELD_KINDS = {
-    "task_kind": "str", "task_feature_dim": "int", "task_num_samples": "int",
-    "task_noise": "float",
-    "institutions_count": "int", "institutions_partition": "str",
-    "institutions_sizes": "int_tuple",
-    "rounds": "int", "local_epochs": "int", "lr": "float",
-    "dp_enabled": "bool", "dp_epsilon": "float", "dp_delta": "float",
-    "dp_clip_norm": "float",
-    "agg_mode": "str",
-    "network_latency_ms": "float", "network_jitter_ms": "float",
-    "network_drop_probability": "float",
-    "governance_enabled": "bool", "governance_alpha": "float",
-    "governance_beta": "float", "governance_gamma": "float",
-    "governance_episodes": "int",
-    "attack_enabled": "bool", "attack_shadows": "int", "attack_probes": "int",
-    "policy_max_epsilon": "float", "policy_min_sigma_floor": "float",
-    "policy_allowed_regions": "str_tuple", "policy_max_rounds": "int",
-    "seed": "int", "output_dir": "str",
-}
 
 
 def canonical_text(config: ExperimentConfig) -> str:
@@ -232,7 +214,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     """Parse key=value lines into a validated config."""
     values = {}
     errors = []
-    known = {f.name for f in fields(ExperimentConfig)}
+    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
     for i, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -242,12 +224,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
             continue
         key, value = line.split("=", 1)
         field_name = ExperimentConfig.field_for(key.strip())
-        if field_name not in known:
+        if field_name not in kinds:
             errors.append(f"line {i}: unknown key {key.strip()!r}")
             continue
         try:
-            values[field_name] = _parse_value(field_name, value,
-                                              _FIELD_KINDS[field_name])
+            values[field_name] = _parse_value(field_name, value, kinds[field_name])
         except ValueError as exc:
             errors.append(f"line {i}: {exc}")
     if errors:

@@ -261,13 +261,26 @@ def _attack_on_run(config: ExperimentConfig, run: TrainingRun, fed: Federation,
         run.final_model, shadows, members, nonmembers))
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
-                   formats: tuple[str, ...] = ("records", "table")) -> ExperimentReport:
+def run_governance(config: ExperimentConfig, episodes: int, report: ExperimentReport,
+                   recorder: AuditRecorder | None = None) -> None:
+    """Train the governance controller on the violation-prone scenario for
+    ``episodes`` episodes; put its learning curve and its summary against the
+    static baseline into ``report``."""
+    weights = RewardWeights(config.governance_alpha, config.governance_beta,
+                            config.governance_gamma)
+    env = GovernanceEnv(ScenarioConfig(), weights,
+                        seed=derive_seed(config.seed, "governance"), recorder=recorder)
+    training = train_controller(env, episodes, derive_seed(config.seed, "controller"))
+    report.governance_curve = training.curve
+    report.governance_summary = governance_summary(env, training.policy, episodes=2)
+
+
+def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentReport:
     """Execute the configured pipeline, write report artifacts, return the report."""
     config.validate()
     started = time.perf_counter()
     h = config_hash(config)
-    out = Path(out_dir if out_dir is not None else config.output_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     recorder = AuditRecorder(seed=derive_seed(config.seed, "audit"))
@@ -303,16 +316,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
         report.attack_results.append(_attack_on_run(config, run, fed, task, dp_policy))
 
     if config.governance_enabled:
-        weights = RewardWeights(config.governance_alpha, config.governance_beta,
-                                config.governance_gamma)
         gov_recorder = AuditRecorder(seed=derive_seed(config.seed, "gov-audit"))
-        env = GovernanceEnv(ScenarioConfig(), weights,
-                            seed=derive_seed(config.seed, "governance"),
-                            recorder=gov_recorder)
-        training = train_controller(env, config.governance_episodes,
-                                    derive_seed(config.seed, "controller"))
-        report.governance_curve = training.curve
-        report.governance_summary = governance_summary(env, training.policy, episodes=2)
+        run_governance(config, config.governance_episodes, report, gov_recorder)
         gov_recorder.chain.write(out / "governance.chain")
 
     # event trace: one JSON record per simulated network/compute event
@@ -347,7 +352,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
             fed.ledgers[pid].write(out / f"{pid}.ledger")
 
     report.wall_seconds = time.perf_counter() - started
-    emit_report(report, out, formats)
+    emit_report(report, out)
     return report
 
 
@@ -380,9 +385,8 @@ def sweep_settings(grid: tuple[str, ...]) -> list[tuple[str, float | None]]:
     return list(settings.items())
 
 
-def run_sweep(config: ExperimentConfig, grid: tuple[str, ...] = ("inf", "4", "2"),
-              seeds: int = 5, out_dir: str | Path | None = None,
-              formats: tuple[str, ...] = ("records", "table")) -> ExperimentReport:
+def run_sweep(config: ExperimentConfig, grid: tuple[str, ...], seeds: int,
+              out_dir: str | Path) -> ExperimentReport:
     """Utility sweep over privacy settings; grid order is the column order.
 
     Each grid point runs the training pipeline only (attack and governance
@@ -391,11 +395,9 @@ def run_sweep(config: ExperimentConfig, grid: tuple[str, ...] = ("inf", "4", "2"
     """
     config.validate()
     settings = sweep_settings(grid)
-    h = config_hash(config)
-    out = Path(out_dir if out_dir is not None else config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    report = ExperimentReport(config_hash=h, seed=config.seed, status="completed")
+    report = ExperimentReport(config_hash=config_hash(config), seed=config.seed,
+                              status="completed")
 
     for label, eps in settings:
         for s in range(seeds):
@@ -417,7 +419,7 @@ def run_sweep(config: ExperimentConfig, grid: tuple[str, ...] = ("inf", "4", "2"
             report.simulated_ms += float(sum(r.wall_time_ms for r in run.results))
 
     report.wall_seconds = time.perf_counter() - started
-    emit_report(report, out, formats)
+    emit_report(report, out_dir)
     return report
 
 
@@ -502,18 +504,10 @@ def render_table(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: ExperimentReport, out_dir: str | Path,
-                formats: tuple[str, ...] = ("records", "table")) -> list[Path]:
+def emit_report(report: ExperimentReport, out_dir: str | Path) -> None:
+    """Write ``report.records`` and ``report.txt`` into ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "records" in formats:
-        path = out / "report.records"
-        path.write_text("\n".join(records_to_lines(report.to_records())) + "\n",
-                        encoding="utf-8")
-        written.append(path)
-    if "table" in formats:
-        path = out / "report.txt"
-        path.write_text(render_table(report), encoding="utf-8")
-        written.append(path)
-    return written
+    (out / "report.records").write_text(
+        "\n".join(records_to_lines(report.to_records())) + "\n", encoding="utf-8")
+    (out / "report.txt").write_text(render_table(report), encoding="utf-8")

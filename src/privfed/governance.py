@@ -314,7 +314,6 @@ class GovernanceEnv:
         self.cost = SimCostModel()
         self._shadow_cache: dict[tuple[int, int], attacks.ShadowModelSet] = {}
         self._episode = -1
-        self.infeasible_count = 0
 
         # the task is fixed for the scenario; episodes differ through the
         # DP-noise and region-request streams, so shadow calibration stays
@@ -392,8 +391,6 @@ class GovernanceEnv:
 
     def step(self, action: GovernanceAction):
         feasible = self._apply(action)
-        if not feasible:
-            self.infeasible_count += 1
         if self.recorder is not None:
             self.recorder.record_governance_action(
                 self.round_index, action.value, self.step_count)

@@ -141,7 +141,7 @@ def _draw_samples(task: SyntheticTask, n: int, rng: np.random.Generator):
     return x, y
 
 
-def sample_dataset(task: SyntheticTask, n: int, label: str, *, stream: str = "extra") -> LocalDataset:
+def sample_dataset(task: SyntheticTask, n: int, label: str) -> LocalDataset:
     """Fresh samples from the task distribution on an independent seeded stream.
 
     Used for evaluation splits, attack probes, and shadow pools; never
@@ -149,7 +149,7 @@ def sample_dataset(task: SyntheticTask, n: int, label: str, *, stream: str = "ex
     """
     if n < 1:
         raise ConfigurationError("need at least one sample")
-    x, y = _draw_samples(task, n, rng_for(task.seed, "sample", stream, label))
+    x, y = _draw_samples(task, n, rng_for(task.seed, "sample", "extra", label))
     return LocalDataset(institution_id=label, features=x, labels=y, task_kind=task.kind)
 
 

@@ -13,7 +13,7 @@ from support import report_body_lines
 
 def cfg_file(tmp_path, **overrides) -> Path:
     base = dict(task_num_samples=400, institutions_count=4, rounds=2,
-                local_epochs=2, lr=1.0, seed=3, output_dir=str(tmp_path / "out"))
+                local_epochs=2, lr=1.0, seed=3)
     base.update(overrides)
     path = tmp_path / "exp.cfg"
     write_config(ExperimentConfig(**base), path)
@@ -23,8 +23,8 @@ def cfg_file(tmp_path, **overrides) -> Path:
 class TestRun:
     def test_run_exit_zero_and_artifacts(self, tmp_path, capsys):
         config = cfg_file(tmp_path)
-        assert main(["run", "--config", str(config)]) == 0
         out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "report.records").exists()
         assert (out / "report.txt").exists()
         assert (out / "audit.chain").exists()
@@ -46,12 +46,39 @@ class TestRun:
         assert "rounds" in err and "dp.epsilon" in err
 
 
+class TestOutputDirectory:
+    def test_report_body_is_the_same_across_out_paths(self, tmp_path):
+        config = cfg_file(tmp_path)
+        for name in ("first", "second"):
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+        assert (report_body_lines(tmp_path / "first" / "report.records")
+                == report_body_lines(tmp_path / "second" / "report.records"))
+
+    def test_privfed_out_applies_with_config_and_out_beats_it(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("PRIVFED_OUT", str(tmp_path / "env"))
+        config = str(cfg_file(tmp_path))
+        assert main(["run", "--config", config]) == 0
+        assert (tmp_path / "env" / "report.records").exists()
+        assert main(["run", "--config", config, "--out", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "report.records").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["output_dir", "output.dir"])
+    def test_output_key_in_config_exits_2(self, tmp_path, capsys, key):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"seed=1\n{key}={tmp_path / 'elsewhere'}\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "elsewhere").exists()
+
+
 class TestVerifyAudit:
     @pytest.fixture()
     def artifacts(self, tmp_path):
         config = cfg_file(tmp_path)
-        main(["run", "--config", str(config)])
         out = tmp_path / "out"
+        main(["run", "--config", str(config), "--out", str(out)])
         return {
             "chain": out / "audit.chain",
             "proof": out / "inst00.budget.proof",
@@ -135,14 +162,15 @@ class TestVerifyAudit:
 class TestSweepAndReport:
     def test_sweep_table_columns(self, tmp_path, capsys):
         config = cfg_file(tmp_path, task_num_samples=800, institutions_count=8)
-        assert main(["sweep", "--config", str(config), "--seeds", "2"]) == 0
+        assert main(["sweep", "--config", str(config), "--seeds", "2",
+                     "--out", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
         header = next(l for l in out.split("\n") if l.startswith("metric"))
         assert header.index("no-dp") < header.index("eps=4") < header.index("eps=2")
 
     def test_report_rerenders_records(self, tmp_path, capsys):
         config = cfg_file(tmp_path)
-        main(["run", "--config", str(config)])
+        main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
         capsys.readouterr()
         records = tmp_path / "out" / "report.records"
         assert main(["report", "--records", str(records)]) == 0
@@ -160,13 +188,32 @@ class TestSweepAndReport:
 
 def test_govern_train_smoke(tmp_path, capsys):
     config = cfg_file(tmp_path, governance_enabled=True, governance_episodes=5)
-    assert main(["govern-train", "--config", str(config), "--episodes", "5"]) == 0
+    assert main(["govern-train", "--config", str(config), "--episodes", "5",
+                 "--out", str(tmp_path / "out")]) == 0
     assert "violations" in capsys.readouterr().out
+    assert (tmp_path / "out" / "report.records").exists()
+    assert (tmp_path / "out" / "report.txt").exists()
+
+
+def test_govern_train_and_run_write_one_governance_block(tmp_path):
+    config = cfg_file(tmp_path, governance_enabled=True, governance_episodes=3)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    assert main(["govern-train", "--config", str(config),
+                 "--out", str(tmp_path / "gov")]) == 0
+
+    def governance_lines(name):
+        return [line for line in report_body_lines(tmp_path / name / "report.records")
+                if '"kind": "governance-' in line]
+
+    run_lines = governance_lines("run")
+    assert any('"kind": "governance-summary"' in line for line in run_lines)
+    assert governance_lines("gov") == run_lines
 
 
 def test_govern_train_zero_episodes_exits_2(tmp_path, capsys):
     config = cfg_file(tmp_path, governance_enabled=True, governance_episodes=5)
-    assert main(["govern-train", "--config", str(config), "--episodes", "0"]) == 2
+    assert main(["govern-train", "--config", str(config), "--episodes", "0",
+                 "--out", str(tmp_path / "out")]) == 2
     assert "--episodes" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.records").exists()
 
@@ -181,8 +228,8 @@ def test_attack_zero_pairs_exits_2(tmp_path, capsys):
                                        ("network.latency_ms", "inf")])
 def test_non_finite_config_value_exits_2(tmp_path, capsys, key, value):
     path = tmp_path / "bad.cfg"
-    path.write_text(f"{key}={value}\noutput_dir={tmp_path / 'out'}\n")
-    assert main(["run", "--config", str(path)]) == 2
+    path.write_text(f"{key}={value}\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"{key}: must be a finite number" in capsys.readouterr().err
 
 
@@ -196,8 +243,8 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, key, value):
 ])
 def test_numeric_failure_exits_6_without_traceback(tmp_path, capsys, config, message):
     path = tmp_path / "exp.cfg"
-    path.write_text(config + f"task.num_samples=300\noutput_dir={tmp_path / 'out'}\n")
-    assert main(["run", "--config", str(path)]) == 6
+    path.write_text(config + "task.num_samples=300\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 6
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:") and message in err
     assert "Traceback" not in err
@@ -215,24 +262,25 @@ def test_report_on_wrong_typed_field_exits_3(tmp_path, capsys):
 # A small secure-aggregation DP run. The masks cancel exactly, and the
 # regression task's MAE moves with the last bits of the aggregate, so its
 # report body pins the fixed-point sum (2^-32 resolution) of the masked
-# updates; the classification digests predate fixed-point masking unchanged.
-# The chain digest covers its closing chain-seal line, and the proof digest
-# the key-table proof format (privfed-compliance-proof/2).
+# updates. The bodies carry config_hash, which does not cover the output
+# directory. The chain digest covers its closing chain-seal line, and the
+# proof digest the key-table proof format (privfed-compliance-proof/2).
 GOLDEN_CONFIG = ("task.num_samples=300\ninstitutions.count=5\nrounds=2\nlocal_epochs=2\n"
-                 "lr=1.0\ndp.enabled=true\nagg.mode=secure\nseed=11\noutput_dir=out\n")
+                 "lr=1.0\ndp.enabled=true\nagg.mode=secure\nseed=11\n")
 GOLDEN_CHAIN = "79e13e370567061620ad3a6fb58a81af8a1133164dc4dff2b0cef56c1b72498c"
 GOLDEN_PROOF = "02d933204f12740d673f08d6b86d7fea89c6f3340a7b19b84c92bd1a349ac656"
 GOLDEN_BODY = {
-    "binary-classification": "9a4ea3fd55c023d2cce0e4e8fbf5623bc8b703ce4d67e76bef7c368fb9bd033a",
-    "regression": "69a27254377fea22e9303b10e8163eb9b2b86d6b6ca6522ed561184b59c40764",
+    "binary-classification": "d586324edda6ff2665ff2fd721fca00f8ef6b48f9e25f95e5418419f5626c2b2",
+    "regression": "449720388ec8d5416c986c46dded50c956e2c1be14a789e3a89eca8da56b298a",
 }
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_BODY))
 def test_secure_dp_run_matches_golden_digests(tmp_path, monkeypatch, kind):
-    monkeypatch.chdir(tmp_path)  # output_dir is part of the config hash
+    monkeypatch.chdir(tmp_path)  # the run writes to the default directory, ./out
+    monkeypatch.delenv("PRIVFED_OUT", raising=False)
     Path("exp.cfg").write_text(f"task.kind={kind}\n" + GOLDEN_CONFIG)
-    assert main(["run", "--config", "exp.cfg", "--format", "records"]) == 0
+    assert main(["run", "--config", "exp.cfg"]) == 0
     out = Path("out")
 
     def digest(data: bytes) -> str:
@@ -252,16 +300,17 @@ GOVERNED_GOLDEN_CONFIG = (GOLDEN_CONFIG + "attack.enabled=true\ngovernance.enabl
                           "governance.episodes=3\n")
 GOVERNED_GOLDEN_CHAIN = "48a134f4b2541d71e6e0267e104cfd6e504083cbfa3322bd2710d9726784eafd"
 GOVERNED_GOLDEN_BODY = {
-    "binary-classification": "9fe21d644f7c7aae04c00beadce78b9dd4884d210ea6960edacf06873629d62a",
-    "regression": "a3d0c96e51f526978b5011ba0af99230587d3a7aebc2b02e9f91030442681ff3",
+    "binary-classification": "ee37dcde86b08e1e5c02df2e63cf7fc1ec0eca18d2a3c49c18b62d0581f99a33",
+    "regression": "068a764bce45c20414b6e5ba358c6c385db3aba1f5e6b71008ca1b95cf721bd1",
 }
 
 
 @pytest.mark.parametrize("kind", sorted(GOVERNED_GOLDEN_BODY))
 def test_governed_attack_run_matches_golden_digests(tmp_path, monkeypatch, kind):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PRIVFED_OUT", raising=False)
     Path("exp.cfg").write_text(f"task.kind={kind}\n" + GOVERNED_GOLDEN_CONFIG)
-    assert main(["run", "--config", "exp.cfg", "--format", "records"]) == 0
+    assert main(["run", "--config", "exp.cfg"]) == 0
     out = Path("out")
     body = "\n".join(report_body_lines(out / "report.records")).encode()
     assert hashlib.sha256(body).hexdigest() == GOVERNED_GOLDEN_BODY[kind]
@@ -278,7 +327,7 @@ ATTACK_GOLDEN_BODY = "820ee3f2367591c80f99b30fb0731e8d19198f5217812f2fbe11770cd7
 
 def test_attack_study_matches_golden_digest(tmp_path):
     out = tmp_path / "out"
-    assert main(["attack", "--pairs", "3", "--format", "records", "--out", str(out)]) == 0
+    assert main(["attack", "--pairs", "3", "--out", str(out)]) == 0
     body = "\n".join(report_body_lines(out / "report.records")).encode()
     assert hashlib.sha256(body).hexdigest() == ATTACK_GOLDEN_BODY
 

@@ -23,6 +23,28 @@ class TestCanonicalForm:
                                institutions_sizes=(30, 20, 10))
         assert parse_config_text(canonical_text(cfg)) == cfg
 
+    def test_every_field_round_trips_at_a_non_default_value(self):
+        values = dict(
+            task_kind="regression", task_feature_dim=3, task_num_samples=90,
+            task_noise=0.25, institutions_count=3, institutions_partition="label-skew",
+            institutions_sizes=(40, 30, 20), rounds=3, local_epochs=7, lr=0.75,
+            dp_enabled=False, dp_epsilon=2.5, dp_delta=1e-5, dp_clip_norm=1.25,
+            agg_mode="plain", network_latency_ms=5.5, network_jitter_ms=0.5,
+            network_drop_probability=0.125, governance_enabled=True,
+            governance_alpha=0.5, governance_beta=3.0, governance_gamma=0.9,
+            governance_episodes=7, attack_enabled=True, attack_shadows=2,
+            attack_probes=50, policy_max_epsilon=6.0, policy_min_sigma_floor=0.1,
+            policy_allowed_regions=("eu-west",), policy_max_rounds=9, seed=77,
+        )
+        fields = dataclasses.fields(ExperimentConfig)
+        assert set(values) == {f.name for f in fields}
+        assert {f.type for f in fields} == {
+            "str", "int", "float", "bool", "tuple[int, ...] | None", "tuple[str, ...]"}
+        cfg = ExperimentConfig(**values)
+        for f in fields:
+            assert getattr(cfg, f.name) != f.default, f.name
+        assert parse_config_text(canonical_text(cfg)) == cfg
+
     def test_hash_stable_under_key_order(self):
         cfg = ExperimentConfig(seed=5)
         lines = canonical_text(cfg).strip().split("\n")
