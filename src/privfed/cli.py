@@ -92,7 +92,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    """Overfit study: no-DP vs strong-DP advantage, plus calibration."""
+    """Overfit study: no-DP vs strong-DP advantage, plus calibration (no config)."""
     if args.pairs < 1:
         raise ConfigValidationError(["--pairs: must be >= 1"])
     base_seed = args.seed if args.seed is not None else 0
@@ -191,8 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", type=str, default=None, help="config file path")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--seed", type=int, default=None, help="seed (default: config's, else 0)")
         p.add_argument("--out", type=str, default=None,
                        help="output directory (default: $PRIVFED_OUT, else out)")
 
@@ -217,6 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_gov)
     p_gov.add_argument("--episodes", type=int, default=None)
     p_gov.set_defaults(func=cmd_govern_train)
+    for p in (p_run, p_sweep, p_gov):
+        p.add_argument("--config", type=str, default=None, help="config file path")
 
     p_verify = sub.add_parser("verify-audit", help="verify chain + proof + policy")
     p_verify.add_argument("--chain", required=True)

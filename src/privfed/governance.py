@@ -18,7 +18,8 @@ lets out-of-region transfers through (each executed breach is a violation).
 Raising the noise tier shrinks per-round spends; tightening the policy
 blocks breaches and cuts the attacker's query budget. Training continues
 past denied charges here - the point of the scenario is that non-compliant
-operation is observable, not fatal.
+operation is observable, not fatal. The scenario is fixed by the module
+constants below; ``ScenarioConfig`` holds only its sizes and its policy.
 
 Each scenario round runs the federation's own round steps (train_clients
 with dp.privatize, charge_round without aborting, weighted_average), so the
@@ -250,32 +251,37 @@ def governance_summary(env, policy: GovernancePolicy, episodes: int) -> dict:
 # the governance environment over a live federation
 
 
+# the violation-prone scenario (see the module docstring)
+FEATURE_DIM = 32
+NUM_INSTITUTIONS = 6
+TASK_NOISE = 0.1
+LR = 0.8                       # the institutions' local descent step size
+ROUNDS_PER_STEP = 3
+CLIP_NORM = 0.5
+ROUND_DELTA = 1e-4
+BASE_SIGMA = 0.25              # sigma at the 1x tier
+BUDGET_CAP_EPSILON = 110.0
+BUDGET_CAP_DELTA = 0.5
+START_TIER = 1                 # mid tier
+START_STRICTNESS = 0           # lenient
+BREACH_PROBABILITY = 0.5
+INFERENCE_SIGMA = 0.25
+VIOLATION_HANDLING_MS = 4.0    # remediation cost per denied charge or breach
+EVAL_SAMPLES = 150
+PROBE_MEMBERS_PER_INSTITUTION = 8
+SHADOW_COUNT = 3
+LATENCY_REFERENCE_MS = 40.0
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Violation-prone default scenario; see the module docstring."""
+    """The scenario's sizes and policy; the rest of it is the module
+    constants above. Tests shrink the first three to keep the suite fast
+    and tighten the sigma floor through ``policy``."""
 
-    feature_dim: int = 32
     samples_per_institution: int = 12
-    num_institutions: int = 6
-    task_noise: float = 0.1
     local_epochs: int = 5
-    lr: float = 0.8
-    rounds_per_step: int = 3
     horizon_steps: int = 8
-    clip_norm: float = 0.5
-    round_delta: float = 1e-4
-    base_sigma: float = 0.25         # sigma at the 1x tier
-    budget_cap_epsilon: float = 110.0
-    budget_cap_delta: float = 0.5
-    start_tier: int = 1              # mid tier
-    start_strictness: int = 0        # lenient
-    breach_probability: float = 0.5
-    inference_sigma: float = 0.25
-    violation_handling_ms: float = 4.0  # remediation cost per denied charge or breach
-    eval_samples: int = 150
-    probe_members_per_institution: int = 8
-    shadow_count: int = 3
-    latency_reference_ms: float = 40.0
     policy: PolicySpec = PolicySpec(
         max_epsilon_per_institution=110.0,
         min_sigma_floor=0.125,
@@ -283,24 +289,39 @@ class ScenarioConfig:
         max_rounds=500,
     )
 
-    def tier_sigma(self, tier: int) -> float:
-        return self.base_sigma * NOISE_TIERS[tier]
 
-    def tier_epsilon(self, tier: int) -> float:
-        return epsilon_for_sigma(self.tier_sigma(tier), self.round_delta, self.clip_norm)
+def tier_sigma(tier: int) -> float:
+    return BASE_SIGMA * NOISE_TIERS[tier]
+
+
+def tier_epsilon(tier: int) -> float:
+    return epsilon_for_sigma(tier_sigma(tier), ROUND_DELTA, CLIP_NORM)
+
+
+# each knob's inclusive bounds, and the knob and step of each move
+_KNOB_BOUNDS = {"tier": (0, len(NOISE_TIERS) - 1), "participants": (1, NUM_INSTITUTIONS),
+                "strictness": (0, len(STRICTNESS_QUERY_REPEATS) - 1)}
+_KNOB_MOVES = {
+    GovernanceAction.RAISE_NOISE_TIER: ("tier", 1),
+    GovernanceAction.LOWER_NOISE_TIER: ("tier", -1),
+    GovernanceAction.SHRINK_PARTICIPATION: ("participants", -1),
+    GovernanceAction.GROW_PARTICIPATION: ("participants", 1),
+    GovernanceAction.TIGHTEN_POLICY: ("strictness", 1),
+    GovernanceAction.RELAX_POLICY: ("strictness", -1),
+}
 
 
 BREACH_REGION = "offshore-zone"
 
 
 class GovernanceEnv:
-    """One governance step = one epoch of ``rounds_per_step`` federated rounds
+    """One governance step = one epoch of ``ROUNDS_PER_STEP`` federated rounds
     under the current knob settings, then fresh telemetry.
 
     Knobs: noise tier over NOISE_TIERS, participation count, and policy
-    strictness. Infeasible actions (top-tier raise, lowering sigma through
-    the policy floor, shrinking below one participant) apply as no_op with
-    an ``infeasible`` flag. Raising the tier never lowers sigma.
+    strictness. Infeasible actions (a move past its knob's bounds, or
+    lowering sigma through the policy floor) apply as no_op with an
+    ``infeasible`` flag. Raising the tier never lowers sigma.
     """
 
     actions = GOVERNANCE_ACTIONS
@@ -313,79 +334,54 @@ class GovernanceEnv:
         self.recorder = recorder
         self.cost = SimCostModel()
         self._shadow_cache: dict[tuple[int, int], attacks.ShadowModelSet] = {}
-        self._episode = -1
 
         # the task is fixed for the scenario; episodes differ through the
         # DP-noise and region-request streams, so shadow calibration stays
         # valid across episodes
-        sc = scenario
         self.task = SyntheticTask(
-            "binary-classification", sc.feature_dim,
-            sc.samples_per_institution * sc.num_institutions,
-            noise=sc.task_noise, seed=derive_seed(seed, "scenario-task"),
+            "binary-classification", FEATURE_DIM,
+            scenario.samples_per_institution * NUM_INSTITUTIONS,
+            noise=TASK_NOISE, seed=derive_seed(seed, "scenario-task"),
         )
-        datasets = generate_task(self.task, sc.num_institutions)
+        datasets = generate_task(self.task, NUM_INSTITUTIONS)
         self.datasets = {d.institution_id: d for d in datasets}
-        self.eval_data = sample_dataset(self.task, sc.eval_samples, "eval")
-        self.probe_members = attacks.member_probes(datasets, sc.probe_members_per_institution)
+        self.eval_data = sample_dataset(self.task, EVAL_SAMPLES, "eval")
+        self.probe_members = attacks.member_probes(datasets, PROBE_MEMBERS_PER_INSTITUTION)
         self.probe_nonmembers = sample_dataset(
             self.task, self.probe_members.n, "nonmembers")
 
     # -- episode state -------------------------------------------------
 
     def reset(self, episode: int) -> TelemetrySnapshot:
-        sc = self.scenario
         self._episode = episode
         self.global_model = np.zeros(self.task.model_dim)
-        cap = PrivacyBudget(sc.budget_cap_epsilon, sc.budget_cap_delta)
+        cap = PrivacyBudget(BUDGET_CAP_EPSILON, BUDGET_CAP_DELTA)
         self.ledgers = {pid: AccountantLedger(pid, cap) for pid in self.datasets}
-        self.tier = sc.start_tier
-        self.strictness = sc.start_strictness
-        self.participants = sc.num_institutions
+        self.tier = START_TIER
+        self.strictness = START_STRICTNESS
+        self.participants = NUM_INSTITUTIONS
         self.step_count = 0
         self.round_index = 0
-        self.telemetry = self._measure(violations=0, epoch_ms=0.0)
-        return self.telemetry
+        return self._measure(violations=0, epoch_ms=0.0)
 
     # -- knobs -----------------------------------------------------------
 
     def _apply(self, action: GovernanceAction) -> bool:
-        sc = self.scenario
+        """Move one knob one step within its bounds; False leaves it as it was."""
         if action is GovernanceAction.NO_OP:
             return True
-        if action is GovernanceAction.RAISE_NOISE_TIER:
-            if self.tier + 1 >= len(NOISE_TIERS):
-                return False
-            self.tier += 1
-            return True
-        if action is GovernanceAction.LOWER_NOISE_TIER:
-            if self.tier == 0:
-                return False
-            if sc.tier_sigma(self.tier - 1) < sc.policy.min_sigma_floor:
-                return False  # knob safety: never below the policy floor
-            self.tier -= 1
-            return True
-        if action is GovernanceAction.SHRINK_PARTICIPATION:
-            if self.participants <= 1:
-                return False
-            self.participants -= 1
-            return True
-        if action is GovernanceAction.GROW_PARTICIPATION:
-            if self.participants >= sc.num_institutions:
-                return False
-            self.participants += 1
-            return True
-        if action is GovernanceAction.TIGHTEN_POLICY:
-            if self.strictness >= 2:
-                return False
-            self.strictness += 1
-            return True
-        if action is GovernanceAction.RELAX_POLICY:
-            if self.strictness <= 0:
-                return False
-            self.strictness -= 1
-            return True
-        raise ConfigurationError(f"unknown action {action!r}")
+        if action not in _KNOB_MOVES:
+            raise ConfigurationError(f"unknown action {action!r}")
+        knob, step = _KNOB_MOVES[action]
+        value = getattr(self, knob) + step
+        low, high = _KNOB_BOUNDS[knob]
+        if not low <= value <= high:
+            return False
+        if knob == "tier" and step < 0 and (
+                tier_sigma(value) < self.scenario.policy.min_sigma_floor):
+            return False  # knob safety: never below the policy floor
+        setattr(self, knob, value)
+        return True
 
     # -- dynamics ----------------------------------------------------------
 
@@ -399,8 +395,8 @@ class GovernanceEnv:
         epoch_ms = 0.0
         sc = self.scenario
         dim = self.task.model_dim
-        scale = NoiseScale(sc.tier_sigma(self.tier), sc.clip_norm, heuristic_regime=True)
-        spend = PrivacyBudget(sc.tier_epsilon(self.tier), sc.round_delta)
+        scale = NoiseScale(tier_sigma(self.tier), CLIP_NORM, heuristic_regime=True)
+        spend = PrivacyBudget(tier_epsilon(self.tier), ROUND_DELTA)
         active = {pid: self.datasets[pid]
                   for pid in sorted(self.datasets)[: self.participants]}
         slowest = max(self.cost.train_ms(data.n, sc.local_epochs) + self.cost.dp_ms(dim)
@@ -410,9 +406,9 @@ class GovernanceEnv:
             seed = derive_seed(self.seed, "env-dp", self._episode, r, pid)
             return privatize(global_model, local, scale, seed)
 
-        for _ in range(sc.rounds_per_step):
+        for _ in range(ROUNDS_PER_STEP):
             r = self.round_index
-            updates = train_clients(self.global_model, active, sc.local_epochs, sc.lr,
+            updates = train_clients(self.global_model, active, sc.local_epochs, LR,
                                     r, noised)
             # the scenario keeps training past a denied charge; every denied
             # charge is a compliance violation
@@ -425,30 +421,23 @@ class GovernanceEnv:
             # non-compliant configurations surface in the latency telemetry
             epoch_ms += (slowest + self.cost.agg_ms(len(active), dim)
                          + 1.0 * self.strictness
-                         + sc.violation_handling_ms * round_violations)
+                         + VIOLATION_HANDLING_MS * round_violations)
             self.round_index += 1
 
         self.step_count += 1
-        self.telemetry = self._measure(violations, epoch_ms)
-        reward = compute_reward(self.telemetry, self.weights)
+        telemetry = self._measure(violations, epoch_ms)
+        reward = compute_reward(telemetry, self.weights)
         done = self.step_count >= sc.horizon_steps
-        info = {
-            "violations": violations,
-            "leakage": self.telemetry.leakage_risk,
-            "infeasible": not feasible,
-            "tier": self.tier,
-            "strictness": self.strictness,
-            "participants": self.participants,
-        }
-        return self.telemetry, reward, done, info
+        info = {"violations": violations, "leakage": telemetry.leakage_risk,
+                "infeasible": not feasible}
+        return telemetry, reward, done, info
 
     def _region_traffic(self, round_index: int, active) -> int:
         """Seeded transfer requests; lenient policy lets breaches execute."""
-        sc = self.scenario
         violations = 0
         for pid in active:
             u = rng_for(self.seed, "region", self._episode, round_index, pid).random()
-            wants_breach = u < sc.breach_probability
+            wants_breach = u < BREACH_PROBABILITY
             if wants_breach:
                 if self.strictness == 0:
                     violations += 1
@@ -459,7 +448,7 @@ class GovernanceEnv:
                         round_index, pid, "transfer-blocked", BREACH_REGION)
             elif self.recorder is not None:
                 self.recorder.record_region_transfer(
-                    round_index, pid, sc.policy.home_region(pid))
+                    round_index, pid, self.scenario.policy.home_region(pid))
         return violations
 
     # -- telemetry ---------------------------------------------------------
@@ -472,16 +461,16 @@ class GovernanceEnv:
             sc = self.scenario
             # shadows mimic the per-round global noise level: client noise
             # averages down by sqrt(participants) in the weighted mean
-            sigma_global = sc.tier_sigma(self.tier) / math.sqrt(sc.num_institutions)
+            sigma_global = tier_sigma(self.tier) / math.sqrt(NUM_INSTITUTIONS)
             recipe = attacks.TrainingRecipe(
-                rounds=sc.rounds_per_step, epochs_per_round=sc.local_epochs,
-                lr=sc.lr, dp_scale=NoiseScale(sigma_global, sc.clip_norm))
+                rounds=ROUNDS_PER_STEP, epochs_per_round=sc.local_epochs,
+                lr=LR, dp_scale=NoiseScale(sigma_global, CLIP_NORM))
             shadows = attacks.train_shadow_models(
-                self.task, sc.shadow_count, recipe,
+                self.task, SHADOW_COUNT, recipe,
                 derive_seed(self.seed, "env-shadows", self.tier, self.strictness),
                 samples_per_split=sc.samples_per_institution)
             query = attacks.QueryInterface(
-                inference_sigma=sc.inference_sigma,
+                inference_sigma=INFERENCE_SIGMA,
                 repeats=STRICTNESS_QUERY_REPEATS[self.strictness])
             threshold = attacks.fit_shadow_threshold(shadows, query)
             cached = (shadows, threshold, query)
@@ -489,14 +478,13 @@ class GovernanceEnv:
         return cached
 
     def _measure(self, violations: int, epoch_ms: float) -> TelemetrySnapshot:
-        sc = self.scenario
         metrics = evaluate(self.global_model, self.eval_data)
         shadows, threshold, query = self._attack_instrument()
         result = attacks.run_membership_inference(
             self.global_model, shadows,
             self.probe_members, self.probe_nonmembers, query, threshold=threshold)
         leakage = attacks.leakage_signal(result)
-        latency = epoch_ms / (sc.rounds_per_step * sc.latency_reference_ms)
+        latency = epoch_ms / (ROUNDS_PER_STEP * LATENCY_REFERENCE_MS)
         utilization = max(l.utilization() for l in self.ledgers.values())
         return TelemetrySnapshot(
             accuracy=metrics.accuracy,
@@ -508,7 +496,3 @@ class GovernanceEnv:
 
     def bucket(self, state: TelemetrySnapshot):
         return bucketize(state)
-
-    @property
-    def sigma(self) -> float:
-        return self.scenario.tier_sigma(self.tier)

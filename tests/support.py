@@ -6,7 +6,14 @@ from pathlib import Path
 
 import numpy as np
 
-from privfed.governance import DISCOUNT
+from privfed.errors import ConfigurationError
+from privfed.governance import (
+    DISCOUNT,
+    NOISE_TIERS,
+    NUM_INSTITUTIONS,
+    GovernanceAction,
+    tier_sigma,
+)
 from privfed.seeding import rng_for
 from privfed.tasks import CLASSIFICATION, LocalDataset, _sigmoid
 
@@ -64,6 +71,43 @@ def reference_best_threshold(member_losses: np.ndarray, nonmember_losses: np.nda
         if acc > best_acc:
             best_acc, best_tau = acc, float(tau)
     return best_tau
+
+
+def reference_apply(state: tuple[int, int, int], action: GovernanceAction,
+                    floor: float) -> tuple[tuple[int, int, int], bool]:
+    """One knob move as a ladder of one branch per action: the oracle that
+    GovernanceEnv._apply must agree with. ``state`` is (tier, participants,
+    strictness); returns the new state and whether the move was feasible."""
+    tier, participants, strictness = state
+    if action is GovernanceAction.NO_OP:
+        return state, True
+    if action is GovernanceAction.RAISE_NOISE_TIER:
+        if tier + 1 >= len(NOISE_TIERS):
+            return state, False
+        return (tier + 1, participants, strictness), True
+    if action is GovernanceAction.LOWER_NOISE_TIER:
+        if tier == 0:
+            return state, False
+        if tier_sigma(tier - 1) < floor:
+            return state, False
+        return (tier - 1, participants, strictness), True
+    if action is GovernanceAction.SHRINK_PARTICIPATION:
+        if participants <= 1:
+            return state, False
+        return (tier, participants - 1, strictness), True
+    if action is GovernanceAction.GROW_PARTICIPATION:
+        if participants >= NUM_INSTITUTIONS:
+            return state, False
+        return (tier, participants + 1, strictness), True
+    if action is GovernanceAction.TIGHTEN_POLICY:
+        if strictness >= 2:
+            return state, False
+        return (tier, participants, strictness + 1), True
+    if action is GovernanceAction.RELAX_POLICY:
+        if strictness <= 0:
+            return state, False
+        return (tier, participants, strictness - 1), True
+    raise ConfigurationError(f"unknown action {action!r}")
 
 
 def of_kind(trace, *kinds: str) -> list:

@@ -224,6 +224,15 @@ def test_attack_zero_pairs_exits_2(tmp_path, capsys):
     assert "--pairs" in captured.err and "nan" not in captured.out
 
 
+def test_attack_takes_no_config(tmp_path, capsys, monkeypatch):
+    # the study is fixed by its constants and flags, so --config is a usage error
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", "--config", "x.cfg", "--pairs", "1"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key,value", [("dp.epsilon", "inf"), ("lr", "nan"),
                                        ("network.latency_ms", "inf")])
 def test_non_finite_config_value_exits_2(tmp_path, capsys, key, value):

@@ -1,9 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from privfed.errors import ConfigurationError
 from privfed.governance import (
     NOISE_TIERS,
+    NUM_INSTITUTIONS,
+    STRICTNESS_QUERY_REPEATS,
     GovernanceAction,
     GovernanceEnv,
     RewardWeights,
@@ -13,10 +19,11 @@ from privfed.governance import (
     compute_reward,
     run_policy,
     static_baseline_policy,
+    tier_sigma,
     train_controller,
 )
 
-from support import TinyMdp
+from support import TinyMdp, reference_apply
 
 
 def snapshot(accuracy=0.9, leakage=0.1, latency=0.2, violations=0, utilization=0.0):
@@ -145,9 +152,9 @@ class TestGovernanceEnv:
     def test_raise_noise_tier_strictly_increases_sigma(self):
         env = GovernanceEnv(SMALL, WEIGHTS, seed=5)
         env.reset(0)
-        before = env.sigma
+        before = tier_sigma(env.tier)
         _, _, _, info = env.step(GovernanceAction.RAISE_NOISE_TIER)
-        assert env.sigma > before
+        assert tier_sigma(env.tier) > before
         assert not info["infeasible"]
 
     def test_raise_at_top_tier_is_flagged_no_op(self):
@@ -161,7 +168,7 @@ class TestGovernanceEnv:
     def test_shrink_below_one_participant_is_flagged_no_op(self):
         env = GovernanceEnv(SMALL, WEIGHTS, seed=5)
         env.reset(0)
-        for _ in range(SMALL.num_institutions + 2):
+        for _ in range(NUM_INSTITUTIONS + 2):
             _, _, _, info = env.step(GovernanceAction.SHRINK_PARTICIPATION)
         assert info["infeasible"]
         assert env.participants == 1
@@ -170,7 +177,7 @@ class TestGovernanceEnv:
         import dataclasses
         # floor at the mid tier: lowering out of it must be refused
         policy = dataclasses.replace(
-            SMALL.policy, min_sigma_floor=SMALL.tier_sigma(1))
+            SMALL.policy, min_sigma_floor=tier_sigma(1))
         scenario = dataclasses.replace(SMALL, policy=policy)
         env = GovernanceEnv(scenario, WEIGHTS, seed=5)
         env.reset(0)
@@ -178,7 +185,7 @@ class TestGovernanceEnv:
         for _ in range(30):
             action = rng.choice(list(GovernanceAction))
             env.step(action)
-            assert env.sigma >= policy.min_sigma_floor
+            assert tier_sigma(env.tier) >= policy.min_sigma_floor
 
     def test_raising_noise_reduces_leakage_paired_seeds(self):
         lows, highs = [], []
@@ -226,3 +233,36 @@ def test_trained_controller_beats_baseline_on_small_scenario():
     baseline = run_policy(env, static_baseline_policy(), episodes=2)
     assert trained["mean_reward"] > baseline["mean_reward"]
     assert trained["violations"] < baseline["violations"]
+
+
+TIER_SIGMAS = [tier_sigma(t) for t in range(len(NOISE_TIERS))]
+# floors at every tier sigma and halfway between neighbouring ones
+FLOORS = sorted(TIER_SIGMAS + [(a + b) / 2 for a, b in zip(TIER_SIGMAS, TIER_SIGMAS[1:])])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    start=st.tuples(st.integers(0, len(NOISE_TIERS) - 1), st.integers(1, NUM_INSTITUTIONS),
+                    st.integers(0, len(STRICTNESS_QUERY_REPEATS) - 1)),
+    actions=st.lists(st.sampled_from(GovernanceAction), max_size=40),
+    floor=st.sampled_from(FLOORS),
+)
+# a floor above the start tier's sigma: raising the tier is still feasible
+@example(start=(0, NUM_INSTITUTIONS, 0),
+         actions=[GovernanceAction.RAISE_NOISE_TIER] * 4 + [GovernanceAction.LOWER_NOISE_TIER],
+         floor=TIER_SIGMAS[-1])
+def test_knob_moves_match_reference_ladder(start, actions, floor):
+    policy = dataclasses.replace(SMALL.policy, min_sigma_floor=floor)
+    env = GovernanceEnv(dataclasses.replace(SMALL, policy=policy), WEIGHTS, seed=0)
+    env.tier, env.participants, env.strictness = start
+    state = start
+    for action in actions:
+        state, expected = reference_apply(state, action, floor)
+        feasible = env._apply(action)
+        assert (env.tier, env.participants, env.strictness, feasible) == (*state, expected)
+
+
+def test_unknown_action_raises():
+    env = GovernanceEnv(SMALL, WEIGHTS, seed=0)
+    with pytest.raises(ConfigurationError):
+        env._apply("raise_noise_tier")
