@@ -33,7 +33,7 @@ from .compliance import (
     prove_compliance,
     verify_proof,
 )
-from .config import ExperimentConfig, config_hash, load_config, write_config
+from .config import ExperimentConfig, config_hash, load_config
 from .dp import (
     AccountantLedger,
     NoiseScale,
@@ -62,7 +62,6 @@ from .federation import (
     NetworkConfig,
     RoundConfig,
     RoundResult,
-    SimCostModel,
     TrainingRun,
     weighted_average,
 )

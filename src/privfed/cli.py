@@ -9,10 +9,11 @@ Subcommands:
   report        re-render a table from a saved records file
 
 Exit codes: run distinguishes success (0), budget exhaustion (4), and round
-failure (5); config validation problems (an unreadable config file and
-non-finite numbers included), counts below 1 (``--episodes``, ``--pairs``,
-``--seeds``), a bad ``--grid`` epsilon and two ``--grid`` tokens naming one
-setting exit 2 after listing every violated field. verify-audit exits 0
+failure (5); config validation problems (an unreadable config file,
+non-finite numbers and a sigma floor above the calibrated sigma included),
+counts below 1 (``--episodes``, ``--pairs``, ``--seeds``), a bad ``--grid``
+epsilon, one whose sigma is below the floor, and two ``--grid`` tokens
+naming one setting exit 2 after listing every violated field. verify-audit exits 0
 compliant, 1 non-compliant, 2 invalid or tampered, 3 unparseable input
 (reporting the first malformed line); report exits 3 on an unreadable or
 malformed records file, wrong-typed fields included. Any command exits 6

@@ -38,6 +38,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import zip_longest
 from pathlib import Path
 
 from .errors import ChainFormatError, ConfigurationError, ProtocolError, ProvabilityError
@@ -65,7 +66,7 @@ _CLAIM_KIND = {CLAIM_BUDGET: "budget-charge",
                CLAIM_SIGMA: "budget-charge",
                CLAIM_REGION: "region-transfer"}
 
-_IDENT = re.compile(r"^[A-Za-z0-9._-]+$")
+_IDENT = re.compile(r"[A-Za-z0-9._-]+")  # always fullmatch
 # a proof's aggregate: a float's repr, a comma list of regions, or "-"
 _AGGREGATE = re.compile(r"[A-Za-z0-9._,+-]+")
 
@@ -86,8 +87,9 @@ def split_record_lines(text: str | bytes) -> list[str]:
 
 class RecordFile:
     """A file of records that subclasses spell with ``to_lines`` and read back
-    with ``parse_lines``. Both directions use bytes, because text mode
-    rewrites line ends and the readers accept only ``\\n``."""
+    with ``parse_lines``, which keeps a line only if ``to_lines`` would spell
+    what was read from it as exactly that line (``read_as_written``). Both
+    directions use bytes, because text mode rewrites line ends."""
 
     def write(self, path) -> None:
         Path(path).write_bytes(("\n".join(self.to_lines()) + "\n").encode("utf-8"))
@@ -112,7 +114,7 @@ class PolicySpec(RecordFile):
         if not self.allowed_regions:
             raise ConfigurationError("allowed_regions must be nonempty")
         for region in self.allowed_regions:
-            if not _IDENT.match(region):
+            if not _IDENT.fullmatch(region):
                 raise ConfigurationError(f"bad region tag {region!r}")
         if self.max_rounds < 1:
             raise ConfigurationError("max_rounds must be >= 1")
@@ -133,13 +135,14 @@ class PolicySpec(RecordFile):
 
     @classmethod
     def parse_lines(cls, lines: list[str]) -> "PolicySpec":
-        lines = _file_records(lines, POLICY_HEADER, "policy")
+        lines = file_records(lines)
+        as_written(lines[0], POLICY_HEADER, 1)
         fields = {}
         for i, line in enumerate(lines[1:], start=2):
             if "=" not in line:
                 raise ChainFormatError("expected key=value", line_no=i)
             key, value = line.split("=", 1)
-            fields[key] = value
+            fields.setdefault(key, value)  # a repeated key is refused where it repeats
         try:
             spec = cls(
                 max_epsilon_per_institution=float(fields["max_epsilon_per_institution"]),
@@ -149,23 +152,47 @@ class PolicySpec(RecordFile):
             )
         except (KeyError, ValueError, ConfigurationError) as exc:
             raise ChainFormatError(f"bad policy file: {exc}") from exc
-        if spec.to_lines() != lines:
-            raise ChainFormatError("policy file is not in its written form")
+        for i, (line, written) in enumerate(zip_longest(lines, spec.to_lines()), start=1):
+            as_written(line, written, i)
         return spec
 
 
-def _file_records(lines: list[str], header: str, what: str) -> list[str]:
-    """A file's lines as the writer wrote them: the exact header line first.
+# The one reading rule of every record file: a reader keeps a line only if
+# its writer spells what was read from it as exactly that line. A file then
+# has one spelling, and a hash verified over what was read covers the bytes
+# that were read. Parsers build records with plain int, float and
+# bytes.fromhex and check only what a round trip cannot: that integers are
+# >= 0, digests 32 bytes, and ids and kinds valid.
 
-    One final newline may end the file (it splits off one empty last
-    string, dropped here); any other empty line is left for the record
-    parser to refuse, so no second spelling of a file reads the same.
+def as_written(line: str, written: str | None, line_no: int, error=ChainFormatError) -> None:
+    """Refuse ``line``, naming ``line_no``, unless it is ``written``: the
+    writer's spelling of what was read from it."""
+    if line != written:
+        raise error("not in the spelling its writer produces", line_no=line_no)
+
+
+def read_as_written(line: str, line_no: int, parse, spell, error=ChainFormatError):
+    """``parse(line)``, kept only if ``spell`` writes it back as ``line``.
+
+    ``parse`` refuses what a round trip cannot catch by raising ValueError,
+    LookupError or ``error``; each, like a respelt line, raises ``error``
+    naming ``line_no``.
     """
+    try:
+        record = parse(line)
+    except (ValueError, LookupError, error) as exc:
+        raise error(f"malformed record ({exc})", line_no=line_no) from exc
+    as_written(line, spell(record), line_no, error)
+    return record
+
+
+def file_records(lines: list[str]) -> list[str]:
+    """A file's lines without the one empty last string that its final
+    newline splits off; any other empty line is left for the reader to
+    refuse. No lines at all read as one empty line."""
     if len(lines) > 1 and lines[-1] == "":
-        lines = lines[:-1]
-    if not lines or lines[0] != header:
-        raise ChainFormatError(f"missing {what} header", line_no=1)
-    return lines
+        return lines[:-1]
+    return lines or [""]
 
 
 def canonical_payload(payload: dict) -> str:
@@ -208,57 +235,37 @@ class AuditEntry:
         )
 
 
-# Readers accept each field only in the one spelling the writers produce, so
-# a line re-serialises to exactly the bytes that were read and an entry hash
-# covers those bytes: no second spelling of a verified chain or proof exists.
-
-def _parse_uint(text: str, line_no: int) -> int:
-    """Canonical decimal: ASCII digits, no sign, separator, space or leading zero."""
-    if text.isdigit() and text.isascii() and (text[0] != "0" or text == "0"):
-        try:
-            return int(text)
-        except ValueError:  # longer than the interpreter's int-string limit
-            pass
-    raise ChainFormatError(f"non-canonical integer {text!r}", line_no=line_no)
+def _uint(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise ValueError(f"negative integer {n}")
+    return n
 
 
-def _parse_hex(text: str, line_no: int, what: str) -> bytes:
-    """Non-empty bytes written as lowercase hex pairs with no whitespace."""
-    try:
-        data = bytes.fromhex(text)
-    except ValueError:
-        data = b""
-    if not data or data.hex() != text:
-        raise ChainFormatError(f"malformed {what}", line_no=line_no)
+def _digest(text: str) -> bytes:
+    data = bytes.fromhex(text)
+    if len(data) != DIGEST_LEN:
+        raise ValueError(f"a digest of {len(data)} bytes")
     return data
 
 
-def _parse_digest(text: str, line_no: int, what: str = "digest") -> bytes:
-    """A digest: exactly ``2 * DIGEST_LEN`` lowercase hex characters."""
-    if len(text) != 2 * DIGEST_LEN:
-        raise ChainFormatError(f"malformed {what}", line_no=line_no)
-    return _parse_hex(text, line_no, what)
+def _check_key(institution_id: str, record_kind: str) -> None:
+    if not _IDENT.fullmatch(institution_id) or record_kind not in _ENTRY_KINDS:
+        raise ValueError(f"bad key {institution_id!r} {record_kind!r}")
 
 
-def _parse_entry_line(line: str, line_no: int) -> AuditEntry:
-    parts = line.split("|")
-    if len(parts) != 8:
-        raise ChainFormatError("expected 8 pipe-separated fields", line_no=line_no)
-    seq, round_index, institution_id, record_kind, inst_kind_index, commit, prev, digest = parts
-    if not _IDENT.match(institution_id):
-        raise ChainFormatError("bad institution id", line_no=line_no)
-    if record_kind not in _ENTRY_KINDS:
-        raise ChainFormatError(f"unknown record kind {record_kind!r}", line_no=line_no)
-    return AuditEntry(
-        _parse_uint(seq, line_no),
-        _parse_uint(round_index, line_no),
-        institution_id,
-        record_kind,
-        _parse_uint(inst_kind_index, line_no),
-        _parse_digest(commit, line_no),
-        _parse_digest(prev, line_no),
-        _parse_digest(digest, line_no),
-    )
+def _entry(line: str) -> AuditEntry:
+    # _uint's and _digest's checks written out, because this runs for every
+    # line of every chain and proof read
+    seq, round_index, institution_id, record_kind, index, commit, prev, digest = line.split("|")
+    e = AuditEntry(int(seq), int(round_index), institution_id, record_kind, int(index),
+                   bytes.fromhex(commit), bytes.fromhex(prev), bytes.fromhex(digest))
+    if (e.sequence_no < 0 or e.round_index < 0 or e.inst_kind_index < 0
+            or not len(e.payload_commitment) == len(e.prev_hash) == len(e.entry_hash)
+            == DIGEST_LEN):
+        raise ValueError("a negative integer or a digest not of 32 bytes")
+    _check_key(institution_id, record_kind)
+    return e
 
 
 def _rehashes(e: AuditEntry) -> bool:
@@ -426,7 +433,7 @@ class AuditChain(RecordFile):
         """Append a record committing to ``payload``, its canonical_payload string."""
         if record_kind not in RECORD_KINDS:
             raise ProtocolError(f"unknown record kind {record_kind!r}")
-        if not _IDENT.match(institution_id):
+        if not _IDENT.fullmatch(institution_id):
             raise ProtocolError(f"bad institution id {institution_id!r}")
         if salt in self._used_salts:
             raise ProtocolError("salt reuse within a chain")
@@ -458,21 +465,18 @@ class AuditChain(RecordFile):
         """True iff every hash link, seal and the head are consistent."""
         return _verified_head(self.entries) is not None
 
-    def entries_for(self, institution_id: str, record_kind: str) -> list[AuditEntry]:
-        return [e for e in self.entries
-                if e.institution_id == institution_id and e.record_kind == record_kind]
-
     def to_lines(self) -> list[str]:
         return [CHAIN_HEADER] + [e.to_line() for e in self.entries]
 
     @classmethod
     def parse_lines(cls, lines: list[str]) -> "AuditChain":
         """Structural parse only; call verify() to check hash consistency."""
-        lines = _file_records(lines, CHAIN_HEADER, "audit-chain")
+        lines = file_records(lines)
+        as_written(lines[0], CHAIN_HEADER, 1)
         chain = cls()
         counts = chain._counts
         for i, line in enumerate(lines[1:], start=2):
-            e = _parse_entry_line(line, i)
+            e = read_as_written(line, i, _entry, AuditEntry.to_line)
             chain.entries.append(e)
             key = (e.institution_id, e.record_kind)
             counts[key] = counts.get(key, 0) + 1
@@ -539,10 +543,11 @@ class TableLeaf:
     digest: bytes = b""
 
     def to_line(self) -> str:
+        """The leaf's fields, without the proof's ``L|`` or ``N|`` tag."""
         path = ",".join(p.hex() for p in self.path)
         if self.key is None:
-            return f"L|{self.index}|{self.size}|{path}"
-        return (f"N|{self.index}|{self.size}|{self.key[0]}|{self.key[1]}|"
+            return f"{self.index}|{self.size}|{path}"
+        return (f"{self.index}|{self.size}|{self.key[0]}|{self.key[1]}|"
                 f"{self.count}|{self.digest.hex()}|{path}")
 
     def rebuilds(self, leaf: bytes, seal_commitment: bytes) -> bool:
@@ -551,40 +556,48 @@ class TableLeaf:
         return root is not None and _table_commitment(self.size, root) == seal_commitment
 
 
-def _parse_path(text: str, line_no: int) -> tuple[bytes, ...]:
-    return () if text == "" else tuple(_parse_digest(p, line_no) for p in text.split(","))
+def _path(text: str) -> tuple[bytes, ...]:
+    return tuple(_digest(p) for p in text.split(",")) if text else ()
 
 
-def _parse_own_leaf(text: str, line_no: int) -> TableLeaf:
-    parts = text.split("|")
-    if len(parts) != 3:
-        raise ChainFormatError("expected L|index|size|path", line_no=line_no)
-    return TableLeaf(_parse_uint(parts[0], line_no), _parse_uint(parts[1], line_no),
-                     _parse_path(parts[2], line_no))
+def _own_leaf(text: str) -> TableLeaf:
+    index, size, path = text.split("|")
+    return TableLeaf(_uint(index), _uint(size), _path(path))
 
 
-def _parse_neighbour(text: str, line_no: int) -> TableLeaf:
-    parts = text.split("|")
-    if len(parts) != 7:
-        raise ChainFormatError(
-            "expected N|index|size|institution|kind|count|digest|path", line_no=line_no)
-    index, size, institution_id, kind, count, digest, path = parts
-    if not _IDENT.match(institution_id) or kind not in _ENTRY_KINDS:
-        raise ChainFormatError("bad neighbour key", line_no=line_no)
-    return TableLeaf(_parse_uint(index, line_no), _parse_uint(size, line_no),
-                     _parse_path(path, line_no), (institution_id, kind),
-                     _parse_uint(count, line_no), _parse_digest(digest, line_no))
+def _neighbour(text: str) -> TableLeaf:
+    index, size, institution_id, kind, count, digest, path = text.split("|")
+    _check_key(institution_id, kind)
+    return TableLeaf(_uint(index), _uint(size), _path(path), (institution_id, kind),
+                     _uint(count), _digest(digest))
 
 
-def _parse_opened(text: str, line_no: int) -> tuple[int, bytes, str]:
-    parts = text.split("|")
-    if len(parts) != 3:
-        raise ChainFormatError("expected O|index|salt|payload", line_no=line_no)
-    try:
-        payload = _parse_hex(parts[2], line_no, "payload").decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ChainFormatError(f"bad opened record: {exc}", line_no=line_no) from exc
-    return _parse_uint(parts[0], line_no), _parse_digest(parts[1], line_no, "salt"), payload
+def _opened(text: str) -> tuple[int, bytes, str]:
+    index, salt, payload = text.split("|")
+    if not payload:
+        raise ValueError("empty payload")
+    return _uint(index), _digest(salt), bytes.fromhex(payload).decode("utf-8")
+
+
+def _opened_line(opened: tuple[int, bytes, str]) -> str:
+    index, salt, payload = opened
+    return f"{index}|{salt.hex()}|{payload.encode('utf-8').hex()}"
+
+
+def _claim(line: str) -> tuple[str, str, bytes, str]:
+    """(claim, institution id, chain head, aggregate) of a proof's claim line."""
+    fields = dict(token.split("=", 1) for token in line.split(" "))
+    claim, institution_id, aggregate = fields["claim"], fields["institution"], fields["aggregate"]
+    if not (claim in CLAIMS and _IDENT.fullmatch(institution_id)
+            and _AGGREGATE.fullmatch(aggregate)):
+        raise ValueError("unknown claim, bad institution or bad aggregate")
+    return claim, institution_id, _digest(fields["chain_head"]), aggregate
+
+
+def _claim_line(fields: tuple[str, str, bytes, str]) -> str:
+    claim, institution_id, chain_head, aggregate = fields
+    return (f"claim={claim} institution={institution_id} "
+            f"chain_head={chain_head.hex()} aggregate={aggregate}")
 
 
 @dataclass(frozen=True)
@@ -599,75 +612,53 @@ class ComplianceProof(RecordFile):
     leaves: tuple[TableLeaf, ...]               # own leaf, or absence neighbours
 
     def to_lines(self) -> list[str]:
-        lines = [PROOF_HEADER, _claim_line(self.claim, self.institution_id,
-                                           self.chain_head.hex(), self.aggregate)]
+        lines = [PROOF_HEADER, _claim_line((self.claim, self.institution_id,
+                                            self.chain_head, self.aggregate))]
         lines += ["H|" + h.to_line() for h in self.headers]
-        lines += [
-            f"O|{idx}|{salt.hex()}|{payload.encode('utf-8').hex()}"
-            for idx, salt, payload in self.opened
-        ]
+        lines += ["O|" + _opened_line(o) for o in self.opened]
         lines.append("S|" + self.seal.to_line())
-        lines += [leaf.to_line() for leaf in self.leaves]
+        lines += [("L|" if leaf.key is None else "N|") + leaf.to_line() for leaf in self.leaves]
         return lines
 
     @classmethod
     def parse_lines(cls, lines: list[str]) -> "ComplianceProof":
-        lines = _file_records(lines, PROOF_HEADER, "proof")
+        lines = file_records(lines)
+        as_written(lines[0], PROOF_HEADER, 1)
         if len(lines) < 2:
             raise ChainFormatError("missing claim line", line_no=2)
-        fields = {}
-        for token in lines[1].split(" "):
-            if "=" not in token:
-                raise ChainFormatError("bad claim line", line_no=2)
-            key, value = token.split("=", 1)
-            fields[key] = value
-        missing = {"claim", "institution", "chain_head", "aggregate"} - set(fields)
-        if missing:
-            raise ChainFormatError(f"claim line missing {sorted(missing)}", line_no=2)
-        if fields["claim"] not in CLAIMS:
-            raise ChainFormatError(f"unknown claim {fields['claim']!r}", line_no=2)
-        if not (_IDENT.fullmatch(fields["institution"])
-                and _AGGREGATE.fullmatch(fields["aggregate"])):
-            raise ChainFormatError("bad institution or aggregate", line_no=2)
-        if lines[1] != _claim_line(fields["claim"], fields["institution"],
-                                   fields["chain_head"], fields["aggregate"]):
-            raise ChainFormatError("claim line is not in its written form", line_no=2)
+        claim, institution_id, chain_head, aggregate = read_as_written(
+            lines[1], 2, _claim, _claim_line)
         at = 2
 
-        def records(tag: str, parse) -> list:
-            """The run of ``tag`` lines from ``at`` on, each parsed."""
+        def records(tag: str, parse, spell) -> list:
+            """The run of ``tag`` lines from ``at`` on, each read as written."""
             nonlocal at
             run = []
             while at < len(lines) and lines[at].startswith(tag):
-                run.append(parse(lines[at][2:], at + 1))
+                run.append(read_as_written(lines[at][2:], at + 1, parse, spell))
                 at += 1
             return run
 
-        headers = records("H|", _parse_entry_line)
-        opened = records("O|", _parse_opened)
-        seals = records("S|", _parse_entry_line)
-        leaves = records("L|", _parse_own_leaf) + records("N|", _parse_neighbour)
+        headers = records("H|", _entry, AuditEntry.to_line)
+        opened = records("O|", _opened, _opened_line)
+        seals = records("S|", _entry, AuditEntry.to_line)
+        leaves = (records("L|", _own_leaf, TableLeaf.to_line)
+                  + records("N|", _neighbour, TableLeaf.to_line))
         if at < len(lines):
             raise ChainFormatError("expected H|, O|, S|, L| or N| records in that order",
                                    line_no=at + 1)
         if len(seals) != 1:
             raise ChainFormatError("expected one S| seal record", line_no=at + 1)
         return cls(
-            claim=fields["claim"],
-            institution_id=fields["institution"],
-            chain_head=_parse_digest(fields["chain_head"], 2),
+            claim=claim,
+            institution_id=institution_id,
+            chain_head=chain_head,
             headers=tuple(headers),
             opened=tuple(opened),
-            aggregate=fields["aggregate"],
+            aggregate=aggregate,
             seal=seals[0],
             leaves=tuple(leaves),
         )
-
-
-def _claim_line(claim: str, institution_id: str, chain_head_hex: str,
-                aggregate: str) -> str:
-    return (f"claim={claim} institution={institution_id} "
-            f"chain_head={chain_head_hex} aggregate={aggregate}")
 
 
 def _compute_aggregate(claim: str, payloads: list[dict]) -> str:

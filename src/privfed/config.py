@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .compliance import PolicySpec
+from .dp import PrivacyBudget, build_privatizer
 from .errors import ConfigurationError, ConfigValidationError
 from .federation import AGG_PLAIN, AGG_SECURE, NetworkConfig
 from .tasks import TASK_KINDS
@@ -140,6 +141,12 @@ class ExperimentConfig:
             errors.append("policy.max_rounds: must be >= 1")
         if self.rounds > self.policy_max_rounds:
             errors.append("rounds: exceeds policy.max_rounds")
+        if self.dp_enabled and not any(e.startswith(("dp.", "rounds:")) for e in errors):
+            sigma = build_privatizer(PrivacyBudget(self.dp_epsilon, self.dp_delta),
+                                     self.dp_clip_norm, self.rounds, self.seed).scale.sigma
+            if self.policy_min_sigma_floor > sigma:
+                errors.append(f"policy.min_sigma_floor: above the sigma {sigma!r} that "
+                              f"dp.epsilon={self.dp_epsilon!r} calibrates")
         if not any(e.startswith("policy.") for e in errors):
             try:  # what PolicySpec checks beyond the above: the region tags
                 self.policy_spec()
@@ -244,7 +251,3 @@ def load_config(path) -> ExperimentConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigValidationError([f"cannot read config file: {exc}"]) from exc
     return parse_config_text(text)
-
-
-def write_config(config: ExperimentConfig, path) -> None:
-    Path(path).write_text(canonical_text(config), encoding="utf-8")

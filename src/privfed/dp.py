@@ -13,8 +13,9 @@ epsilon 2 and 4 fall outside the formula's proof regime.
 
 Accounting is basic (linear) composition: per-round epsilon and delta sums,
 enforced exactly against a per-institution run cap. Conservative and
-auditable on purpose. A ledger file is read back only in the exact spelling
-its writer produces, and a file that breaks its own cap is malformed.
+auditable on purpose. A ledger file is read by the audit files' one rule,
+keeping a line only if it re-serialises to itself, and a file that breaks
+its own cap is malformed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compliance import RecordFile
+from .compliance import RecordFile, file_records, read_as_written
 from .errors import BudgetExhausted, ConfigurationError, LedgerError
 from .seeding import derive_seed, rng_for
 from .tasks import ensure_vector
@@ -203,39 +204,31 @@ class AccountantLedger(RecordFile):
 
     @classmethod
     def parse_lines(cls, lines: list[str]) -> "AccountantLedger":
-        """The ledger whose ``to_lines()`` is exactly ``lines``.
-
-        One final newline may end the file (one empty last string); any
-        other spelling, an entry past the ledger's own cap or out of round
-        order included, raises LedgerError naming the first bad line.
-        """
-        if len(lines) > 1 and lines[-1] == "":
-            lines = lines[:-1]
-        try:
-            head = dict(part.split("=", 1) for part in lines[0].split(" ")[1:])
-            ledger = cls(head["institution"], PrivacyBudget(float(head["cap_epsilon"]),
-                                                            float(head["cap_delta"])))
-            if ledger._header_line() != lines[0]:
-                raise ValueError("not as written")
-        except (IndexError, KeyError, ValueError) as exc:
-            raise LedgerError(f"line 1: malformed ledger header ({exc!r})") from exc
+        """The ledger whose ``to_lines()`` is exactly ``lines``; an entry past
+        the ledger's own cap or out of round order is malformed too."""
+        lines = file_records(lines)
+        ledger = read_as_written(lines[0], 1, cls._from_header, cls._header_line, LedgerError)
         for line_no, line in enumerate(lines[1:], start=2):
-            try:
-                kv = dict(part.split("=", 1) for part in line.split(" "))
-                round_index = int(kv["round"])
-                spend = PrivacyBudget(float(kv["epsilon"]), float(kv["delta"]))
-                scale = NoiseScale(float(kv["sigma"]), float(kv["clip_norm"]),
-                                   kv["heuristic"] == "1")
-                ledger._check_round(round_index)
-                if ledger.would_exceed(spend):
-                    raise ValueError("entry exceeds the ledger's own cap")
-                entry = ledger._append(round_index, spend, scale)
-                if ledger._entry_line(entry, ledger.total_epsilon) != line:
-                    raise ValueError("not as written")
-            except (KeyError, ValueError, LedgerError) as exc:
-                raise LedgerError(
-                    f"line {line_no}: malformed ledger entry ({exc!r})") from exc
+            read_as_written(line, line_no, ledger._charge_line,
+                            lambda e: ledger._entry_line(e, ledger.total_epsilon), LedgerError)
         return ledger
+
+    @classmethod
+    def _from_header(cls, line: str) -> "AccountantLedger":
+        head = dict(part.split("=", 1) for part in line.split(" ")[1:])
+        return cls(head["institution"], PrivacyBudget(float(head["cap_epsilon"]),
+                                                      float(head["cap_delta"])))
+
+    def _charge_line(self, line: str) -> LedgerEntry:
+        """Charge the entry that ``line`` records; raise if it breaks the cap."""
+        kv = dict(part.split("=", 1) for part in line.split(" "))
+        round_index = int(kv["round"])
+        spend = PrivacyBudget(float(kv["epsilon"]), float(kv["delta"]))
+        scale = NoiseScale(float(kv["sigma"]), float(kv["clip_norm"]), kv["heuristic"] == "1")
+        self._check_round(round_index)
+        if self.would_exceed(spend):
+            raise ValueError("entry exceeds the ledger's own cap")
+        return self._append(round_index, spend, scale)
 
 
 def schedule_round_budgets(cap: PrivacyBudget, rounds: int) -> list[PrivacyBudget]:

@@ -29,8 +29,19 @@ class ProtocolError(RuntimeError):
     """A federation or secure-aggregation protocol contract was broken."""
 
 
-class LedgerError(RuntimeError):
-    """Privacy-ledger misuse (out-of-order rounds, malformed entries)."""
+class _NamesLine:
+    """An error that may name ``line_no``, the 1-based line of the first
+    malformed record of a file."""
+
+    def __init__(self, message: str, line_no: int | None = None):
+        self.line_no = line_no
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        super().__init__(message)
+
+
+class LedgerError(_NamesLine, RuntimeError):
+    """Privacy-ledger misuse (out-of-order rounds, malformed ledger files)."""
 
 
 class BudgetExhausted(RuntimeError):
@@ -52,17 +63,8 @@ class BudgetExhausted(RuntimeError):
         )
 
 
-class FormatError(ValueError):
-    """A file read from outside the program could not be parsed.
-
-    ``line_no`` is the 1-based line of the first malformed record.
-    """
-
-    def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+class FormatError(_NamesLine, ValueError):
+    """A file read from outside the program could not be parsed."""
 
 
 class ChainFormatError(FormatError):

@@ -399,17 +399,18 @@ def run_sweep(config: ExperimentConfig, grid: tuple[str, ...], seeds: int,
     report = ExperimentReport(config_hash=config_hash(config), seed=config.seed,
                               status="completed")
 
-    for label, eps in settings:
+    points = {label: replace(
+        config, attack_enabled=False, governance_enabled=False,
+        dp_enabled=eps is not None,
+        dp_epsilon=eps if eps is not None else config.dp_epsilon,
+        policy_max_epsilon=max(config.policy_max_epsilon, eps if eps is not None else 0.0),
+    ) for label, eps in settings}
+    for point in points.values():  # a grid epsilon whose sigma is below the floor
+        point.validate()
+    for label, point in points.items():
         for s in range(seeds):
             run_seed = derive_seed(config.seed, "sweep", s)
-            point = replace(
-                config, seed=run_seed, attack_enabled=False, governance_enabled=False,
-                dp_enabled=eps is not None,
-                dp_epsilon=eps if eps is not None else config.dp_epsilon,
-                policy_max_epsilon=max(config.policy_max_epsilon,
-                                       eps if eps is not None else 0.0),
-            )
-            run, *_ = _run_training(point, recorder=None)
+            run, *_ = _run_training(replace(point, seed=run_seed), recorder=None)
             if run.status != "completed":
                 report.status = run.status
             entry = {"setting": label, "seed": s,

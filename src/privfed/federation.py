@@ -80,27 +80,16 @@ class NetworkConfig:
             raise ConfigurationError("drop_probability must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class SimCostModel:
-    """Simulated compute costs (milliseconds). Defaults keep masking a small
-    fraction of training time at 20 institutions."""
+# Simulated compute costs in milliseconds, a modelling assumption: they keep
+# masking a small fraction of training time at 20 institutions.
+TRAIN_MS_PER_SAMPLE_EPOCH = 0.05
+DP_MS_PER_COORD = 0.002
+MASK_MS_PER_PAIR_COORD = 0.006
+AGG_MS_PER_UPDATE_COORD = 0.002
 
-    train_ms_per_sample_epoch: float = 0.05
-    dp_ms_per_coord: float = 0.002
-    mask_ms_per_pair_coord: float = 0.006
-    agg_ms_per_update_coord: float = 0.002
 
-    def train_ms(self, n_samples: int, epochs: int) -> float:
-        return self.train_ms_per_sample_epoch * n_samples * max(epochs, 1)
-
-    def dp_ms(self, dim: int) -> float:
-        return self.dp_ms_per_coord * dim
-
-    def mask_ms(self, num_peers: int, dim: int) -> float:
-        return self.mask_ms_per_pair_coord * num_peers * dim
-
-    def agg_ms(self, num_updates: int, dim: int) -> float:
-        return self.agg_ms_per_update_coord * num_updates * dim
+def train_ms(n_samples: int, epochs: int) -> float:
+    return TRAIN_MS_PER_SAMPLE_EPOCH * n_samples * max(epochs, 1)
 
 
 @dataclass(frozen=True)
@@ -228,7 +217,6 @@ class Federation:
         self.eval_data = eval_data
         self.net = net
         self.session_seed = session_seed
-        self.cost = SimCostModel()
         self.recorder = recorder  # audit hook: .record_budget_charge(...) etc.
         self.trace = EventTrace()
         self.clock_ms = 0.0
@@ -311,10 +299,10 @@ class Federation:
             pid = u.institution_id
             down = self._link_latency(r, pid, "down")
             self.trace.record(t0, "broadcast", r, COORDINATOR, pid, PAYLOAD_GLOBAL_MODEL)
-            t = t0 + down + self.cost.train_ms(u.n_i, cfg.local_epochs)
+            t = t0 + down + train_ms(u.n_i, cfg.local_epochs)
             self.trace.record(t, "local-train", r, pid, pid)
             if dp_policy is not None:
-                t += self.cost.dp_ms(dim)
+                t += DP_MS_PER_COORD * dim
                 self.trace.record(t, "dp-apply", r, pid, pid,
                                   note=f"sigma={dp_policy.scale.sigma:.6g}")
             finish_times[pid] = t
@@ -330,7 +318,7 @@ class Federation:
             if secure:
                 scaled = ClientUpdate(pid, u.weights * (u.n_i / n_total), u.n_i, r)
                 masked_updates.append(secure_agg.mask_update(scaled, masks[pid]))
-                t += self.cost.mask_ms(len(survivors) - 1, dim)
+                t += MASK_MS_PER_PAIR_COORD * (len(survivors) - 1) * dim
                 self.trace.record(t, "mask", r, pid, pid)
             up = self._link_latency(r, pid, "up")
             self.trace.record(t, "send", r, pid, COORDINATOR, payload)
@@ -341,7 +329,7 @@ class Federation:
         else:
             new_global = weighted_average(updates)
 
-        t_agg = max(finish_times.values()) + self.cost.agg_ms(len(survivors), dim)
+        t_agg = max(finish_times.values()) + AGG_MS_PER_UPDATE_COORD * len(survivors) * dim
         self.trace.record(t_agg, "aggregate", r, COORDINATOR, COORDINATOR,
                           note=f"mode={agg_mode} survivors={len(survivors)}")
         self.clock_ms = t_agg

@@ -38,7 +38,14 @@ from . import attacks
 from .compliance import AuditRecorder, PolicySpec
 from .dp import AccountantLedger, NoiseScale, PrivacyBudget, epsilon_for_sigma, privatize
 from .errors import ConfigurationError
-from .federation import SimCostModel, charge_round, train_clients, weighted_average
+from .federation import (
+    AGG_MS_PER_UPDATE_COORD,
+    DP_MS_PER_COORD,
+    charge_round,
+    train_clients,
+    train_ms,
+    weighted_average,
+)
 from .seeding import derive_seed, rng_for
 from .tasks import SyntheticTask, evaluate, generate_task, sample_dataset
 
@@ -332,7 +339,6 @@ class GovernanceEnv:
         self.weights = weights
         self.seed = seed
         self.recorder = recorder
-        self.cost = SimCostModel()
         self._shadow_cache: dict[tuple[int, int], attacks.ShadowModelSet] = {}
 
         # the task is fixed for the scenario; episodes differ through the
@@ -399,7 +405,7 @@ class GovernanceEnv:
         spend = PrivacyBudget(tier_epsilon(self.tier), ROUND_DELTA)
         active = {pid: self.datasets[pid]
                   for pid in sorted(self.datasets)[: self.participants]}
-        slowest = max(self.cost.train_ms(data.n, sc.local_epochs) + self.cost.dp_ms(dim)
+        slowest = max(train_ms(data.n, sc.local_epochs) + DP_MS_PER_COORD * dim
                       for data in active.values())
 
         def noised(global_model, local, r, pid):
@@ -419,7 +425,7 @@ class GovernanceEnv:
             violations += round_violations
             # every violation triggers simulated remediation handling, so
             # non-compliant configurations surface in the latency telemetry
-            epoch_ms += (slowest + self.cost.agg_ms(len(active), dim)
+            epoch_ms += (slowest + AGG_MS_PER_UPDATE_COORD * len(active) * dim
                          + 1.0 * self.strictness
                          + VIOLATION_HANDLING_MS * round_violations)
             self.round_index += 1

@@ -6,7 +6,23 @@ from pathlib import Path
 
 import numpy as np
 
-from privfed.errors import ConfigurationError
+from privfed.compliance import (
+    _AGGREGATE,
+    _ENTRY_KINDS,
+    _IDENT,
+    CHAIN_HEADER,
+    CLAIMS,
+    DIGEST_LEN,
+    POLICY_HEADER,
+    PROOF_HEADER,
+    AuditChain,
+    AuditEntry,
+    ComplianceProof,
+    PolicySpec,
+    TableLeaf,
+)
+from privfed.dp import AccountantLedger, NoiseScale, PrivacyBudget
+from privfed.errors import ChainFormatError, ConfigurationError, LedgerError
 from privfed.governance import (
     DISCOUNT,
     NOISE_TIERS,
@@ -176,3 +192,196 @@ class TinyMdp:
                     if value > best_value + 1e-12:
                         best_value, best = value, pi
         return best
+
+
+# --- the record readers as each field checker spelt them out --------------
+# The oracle that the round-trip readers (compliance.read_as_written) must
+# agree with: the same files accepted, and a refusal at the same line.
+
+def _reference_file_records(lines: list[str], header: str, what: str) -> list[str]:
+    if len(lines) > 1 and lines[-1] == "":
+        lines = lines[:-1]
+    if not lines or lines[0] != header:
+        raise ChainFormatError(f"missing {what} header", line_no=1)
+    return lines
+
+
+def _reference_uint(text: str, line_no: int) -> int:
+    """Canonical decimal: ASCII digits, no sign, separator, space or leading zero."""
+    if text.isdigit() and text.isascii() and (text[0] != "0" or text == "0"):
+        try:
+            return int(text)
+        except ValueError:  # longer than the interpreter's int-string limit
+            pass
+    raise ChainFormatError(f"non-canonical integer {text!r}", line_no=line_no)
+
+
+def _reference_hex(text: str, line_no: int, what: str) -> bytes:
+    """Non-empty bytes written as lowercase hex pairs with no whitespace."""
+    try:
+        data = bytes.fromhex(text)
+    except ValueError:
+        data = b""
+    if not data or data.hex() != text:
+        raise ChainFormatError(f"malformed {what}", line_no=line_no)
+    return data
+
+
+def _reference_digest(text: str, line_no: int, what: str = "digest") -> bytes:
+    if len(text) != 2 * DIGEST_LEN:
+        raise ChainFormatError(f"malformed {what}", line_no=line_no)
+    return _reference_hex(text, line_no, what)
+
+
+def _reference_entry(line: str, line_no: int) -> AuditEntry:
+    parts = line.split("|")
+    if len(parts) != 8:
+        raise ChainFormatError("expected 8 pipe-separated fields", line_no=line_no)
+    seq, round_index, institution_id, record_kind, inst_kind_index, commit, prev, digest = parts
+    if not _IDENT.fullmatch(institution_id):
+        raise ChainFormatError("bad institution id", line_no=line_no)
+    if record_kind not in _ENTRY_KINDS:
+        raise ChainFormatError(f"unknown record kind {record_kind!r}", line_no=line_no)
+    return AuditEntry(
+        _reference_uint(seq, line_no), _reference_uint(round_index, line_no),
+        institution_id, record_kind, _reference_uint(inst_kind_index, line_no),
+        _reference_digest(commit, line_no), _reference_digest(prev, line_no),
+        _reference_digest(digest, line_no))
+
+
+def _reference_path(text: str, line_no: int) -> tuple[bytes, ...]:
+    return () if text == "" else tuple(_reference_digest(p, line_no) for p in text.split(","))
+
+
+def _reference_own_leaf(text: str, line_no: int) -> TableLeaf:
+    parts = text.split("|")
+    if len(parts) != 3:
+        raise ChainFormatError("expected L|index|size|path", line_no=line_no)
+    return TableLeaf(_reference_uint(parts[0], line_no), _reference_uint(parts[1], line_no),
+                     _reference_path(parts[2], line_no))
+
+
+def _reference_neighbour(text: str, line_no: int) -> TableLeaf:
+    parts = text.split("|")
+    if len(parts) != 7:
+        raise ChainFormatError("expected N|index|size|institution|kind|count|digest|path",
+                               line_no=line_no)
+    index, size, institution_id, kind, count, digest, path = parts
+    if not _IDENT.fullmatch(institution_id) or kind not in _ENTRY_KINDS:
+        raise ChainFormatError("bad neighbour key", line_no=line_no)
+    return TableLeaf(_reference_uint(index, line_no), _reference_uint(size, line_no),
+                     _reference_path(path, line_no), (institution_id, kind),
+                     _reference_uint(count, line_no), _reference_digest(digest, line_no))
+
+
+def _reference_opened(text: str, line_no: int) -> tuple[int, bytes, str]:
+    parts = text.split("|")
+    if len(parts) != 3:
+        raise ChainFormatError("expected O|index|salt|payload", line_no=line_no)
+    try:
+        payload = _reference_hex(parts[2], line_no, "payload").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ChainFormatError(f"bad opened record: {exc}", line_no=line_no) from exc
+    return (_reference_uint(parts[0], line_no), _reference_digest(parts[1], line_no, "salt"),
+            payload)
+
+
+def reference_read_chain(lines: list[str]) -> AuditChain:
+    lines = _reference_file_records(lines, CHAIN_HEADER, "audit-chain")
+    chain = AuditChain()
+    chain.entries = [_reference_entry(line, i) for i, line in enumerate(lines[1:], start=2)]
+    return chain
+
+
+def reference_read_proof(lines: list[str]) -> ComplianceProof:
+    lines = _reference_file_records(lines, PROOF_HEADER, "proof")
+    if len(lines) < 2:
+        raise ChainFormatError("missing claim line", line_no=2)
+    fields = {}
+    for token in lines[1].split(" "):
+        if "=" not in token:
+            raise ChainFormatError("bad claim line", line_no=2)
+        key, value = token.split("=", 1)
+        fields[key] = value
+    missing = {"claim", "institution", "chain_head", "aggregate"} - set(fields)
+    if missing:
+        raise ChainFormatError(f"claim line missing {sorted(missing)}", line_no=2)
+    if fields["claim"] not in CLAIMS:
+        raise ChainFormatError(f"unknown claim {fields['claim']!r}", line_no=2)
+    if not (_IDENT.fullmatch(fields["institution"])
+            and _AGGREGATE.fullmatch(fields["aggregate"])):
+        raise ChainFormatError("bad institution or aggregate", line_no=2)
+    if lines[1] != (f"claim={fields['claim']} institution={fields['institution']} "
+                    f"chain_head={fields['chain_head']} aggregate={fields['aggregate']}"):
+        raise ChainFormatError("claim line is not in its written form", line_no=2)
+    at = 2
+
+    def records(tag: str, parse) -> list:
+        nonlocal at
+        run = []
+        while at < len(lines) and lines[at].startswith(tag):
+            run.append(parse(lines[at][2:], at + 1))
+            at += 1
+        return run
+
+    headers = records("H|", _reference_entry)
+    opened = records("O|", _reference_opened)
+    seals = records("S|", _reference_entry)
+    leaves = records("L|", _reference_own_leaf) + records("N|", _reference_neighbour)
+    if at < len(lines):
+        raise ChainFormatError("expected H|, O|, S|, L| or N| records in that order",
+                               line_no=at + 1)
+    if len(seals) != 1:
+        raise ChainFormatError("expected one S| seal record", line_no=at + 1)
+    return ComplianceProof(fields["claim"], fields["institution"],
+                           _reference_digest(fields["chain_head"], 2), tuple(headers),
+                           tuple(opened), fields["aggregate"], seals[0], tuple(leaves))
+
+
+def reference_read_policy(lines: list[str]) -> PolicySpec:
+    lines = _reference_file_records(lines, POLICY_HEADER, "policy")
+    fields = {}
+    for i, line in enumerate(lines[1:], start=2):
+        if "=" not in line:
+            raise ChainFormatError("expected key=value", line_no=i)
+        key, value = line.split("=", 1)
+        fields[key] = value
+    try:
+        spec = PolicySpec(float(fields["max_epsilon_per_institution"]),
+                          float(fields["min_sigma_floor"]),
+                          frozenset(fields["allowed_regions"].split(",")),
+                          int(fields["max_rounds"]))
+    except (KeyError, ValueError, ConfigurationError) as exc:
+        raise ChainFormatError(f"bad policy file: {exc}") from exc
+    if spec.to_lines() != lines:
+        raise ChainFormatError("policy file is not in its written form")
+    return spec
+
+
+def reference_read_ledger(lines: list[str]) -> AccountantLedger:
+    if len(lines) > 1 and lines[-1] == "":
+        lines = lines[:-1]
+    try:
+        head = dict(part.split("=", 1) for part in lines[0].split(" ")[1:])
+        ledger = AccountantLedger(head["institution"], PrivacyBudget(
+            float(head["cap_epsilon"]), float(head["cap_delta"])))
+        if ledger._header_line() != lines[0]:
+            raise ValueError("not as written")
+    except (IndexError, KeyError, ValueError) as exc:
+        raise LedgerError(f"malformed ledger header ({exc!r})", line_no=1) from exc
+    for line_no, line in enumerate(lines[1:], start=2):
+        try:
+            kv = dict(part.split("=", 1) for part in line.split(" "))
+            round_index = int(kv["round"])
+            spend = PrivacyBudget(float(kv["epsilon"]), float(kv["delta"]))
+            scale = NoiseScale(float(kv["sigma"]), float(kv["clip_norm"]),
+                               kv["heuristic"] == "1")
+            ledger._check_round(round_index)
+            if ledger.would_exceed(spend):
+                raise ValueError("entry exceeds the ledger's own cap")
+            entry = ledger._append(round_index, spend, scale)
+            if ledger._entry_line(entry, ledger.total_epsilon) != line:
+                raise ValueError("not as written")
+        except (KeyError, ValueError, LedgerError) as exc:
+            raise LedgerError(f"malformed ledger entry ({exc!r})", line_no=line_no) from exc
+    return ledger

@@ -6,7 +6,7 @@ import pytest
 
 from privfed.cli import main
 from privfed.compliance import PolicySpec, Verdict, audit_verdict
-from privfed.config import ExperimentConfig, write_config
+from privfed.config import ExperimentConfig, canonical_text
 
 from support import report_body_lines
 
@@ -16,7 +16,7 @@ def cfg_file(tmp_path, **overrides) -> Path:
                 local_epochs=2, lr=1.0, seed=3)
     base.update(overrides)
     path = tmp_path / "exp.cfg"
-    write_config(ExperimentConfig(**base), path)
+    path.write_text(canonical_text(ExperimentConfig(**base)), encoding="utf-8")
     return path
 
 
@@ -159,6 +159,15 @@ class TestVerifyAudit:
         assert set(opened) <= allowed
 
 
+def test_sigma_floor_above_the_calibrated_sigma_exits_2(tmp_path, capsys):
+    config = cfg_file(tmp_path, task_num_samples=300, institutions_count=3, dp_enabled=True,
+                      policy_min_sigma_floor=100.0)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert "policy.min_sigma_floor" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSweepAndReport:
     def test_sweep_table_columns(self, tmp_path, capsys):
         config = cfg_file(tmp_path, task_num_samples=800, institutions_count=8)
@@ -167,6 +176,15 @@ class TestSweepAndReport:
         out = capsys.readouterr().out
         header = next(l for l in out.split("\n") if l.startswith("metric"))
         assert header.index("no-dp") < header.index("eps=4") < header.index("eps=2")
+
+    def test_grid_epsilon_below_the_sigma_floor_exits_2(self, tmp_path, capsys):
+        # the base config's sigma (0.99) meets the floor; eps=16's (0.25) does not
+        config = cfg_file(tmp_path, policy_min_sigma_floor=0.5)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--grid", "inf,16",
+                     "--seeds", "1", "--out", str(out)]) == 2
+        assert "policy.min_sigma_floor" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_rerenders_records(self, tmp_path, capsys):
         config = cfg_file(tmp_path)

@@ -30,7 +30,12 @@ from privfed.compliance import (
     verify_proof,
 )
 from privfed.dp import AccountantLedger, NoiseScale, PrivacyBudget
-from privfed.errors import ChainFormatError, ProtocolError, ProvabilityError
+from privfed.errors import (
+    ChainFormatError,
+    ConfigurationError,
+    ProtocolError,
+    ProvabilityError,
+)
 from privfed.seeding import salt_for
 
 
@@ -92,6 +97,12 @@ class TestChain:
             chain.append(i, "a", "policy-decision", canonical_payload({"d": i}), salt_for(3, i))
         del chain.entries[3]
         assert not chain.verify()
+
+    def test_id_with_final_newline_refused(self):
+        # the reader would refuse the chain this append wrote, at line 2
+        with pytest.raises(ProtocolError):
+            AuditChain().append(0, "inst00\n", "budget-charge", canonical_payload({"x": 1}),
+                                salt_for(4, 1))
 
     def test_salt_reuse_rejected(self):
         chain = AuditChain()
@@ -608,6 +619,11 @@ class TestPolicyFile:
         path = tmp_path / "p.policy"
         spec.write(path)
         assert PolicySpec.read(path) == spec
+
+    def test_region_with_final_newline_refused(self):
+        # the reader would refuse the policy file this spec wrote, at line 5
+        with pytest.raises(ConfigurationError):
+            PolicySpec(1.0, 0.0, frozenset({"eu-west\n"}), 10)
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "p.policy"

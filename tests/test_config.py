@@ -8,7 +8,6 @@ from privfed.config import (
     config_hash,
     load_config,
     parse_config_text,
-    write_config,
 )
 from privfed.errors import ConfigValidationError
 
@@ -64,13 +63,21 @@ class TestCanonicalForm:
     def test_file_round_trip(self, tmp_path):
         cfg = ExperimentConfig(seed=123, agg_mode="plain")
         path = tmp_path / "exp.cfg"
-        write_config(cfg, path)
+        path.write_text(canonical_text(cfg), encoding="utf-8")
         assert load_config(path) == cfg
 
 
 class TestValidation:
     def test_valid_default(self):
         ExperimentConfig().validate()
+
+    def test_sigma_floor_must_not_exceed_the_calibrated_sigma(self):
+        # the defaults calibrate sigma 0.989; without DP the floor binds nothing
+        ExperimentConfig(policy_min_sigma_floor=0.98).validate()
+        ExperimentConfig(policy_min_sigma_floor=100.0, dp_enabled=False).validate()
+        with pytest.raises(ConfigValidationError) as exc:
+            ExperimentConfig(policy_min_sigma_floor=1.0).validate()
+        assert [e.split(":")[0] for e in exc.value.errors] == ["policy.min_sigma_floor"]
 
     def test_all_violations_listed(self):
         cfg = ExperimentConfig(
