@@ -15,10 +15,12 @@ counts below 1 (``--episodes``, ``--pairs``, ``--seeds``), a bad ``--grid``
 epsilon, one whose sigma is below the floor, and two ``--grid`` tokens
 naming one setting exit 2 after listing every violated field. verify-audit exits 0
 compliant, 1 non-compliant, 2 invalid or tampered, 3 unparseable input
-(reporting the first malformed line); report exits 3 on an unreadable or
-malformed records file, wrong-typed fields included. Any command exits 6
-on a numeric failure: training that diverged to non-finite weights, or an
-update outside secure aggregation's fixed-point range.
+(reporting the first malformed line; a missing policy value is reported at
+the line where it belongs); report exits 3 on an unreadable or malformed
+records file, wrong-typed fields included. No command reads a ``*.ledger``
+file. Any command exits 6, with one ``numeric failure:`` line and no numpy
+warning, on training that diverged to non-finite weights or an update
+outside secure aggregation's fixed-point range.
 """
 
 from __future__ import annotations

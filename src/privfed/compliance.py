@@ -36,9 +36,8 @@ import bisect
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import zip_longest
 from pathlib import Path
 
 from .errors import ChainFormatError, ConfigurationError, ProtocolError, ProvabilityError
@@ -135,54 +134,62 @@ class PolicySpec(RecordFile):
 
     @classmethod
     def parse_lines(cls, lines: list[str]) -> "PolicySpec":
+        """The policy whose ``to_lines()`` is exactly ``lines``. Each value is
+        put into a valid stand-in policy as its line is read, so the one
+        ``__post_init__`` that refuses it names that line; a missing value
+        names the line where it belongs."""
         lines = file_records(lines)
         as_written(lines[0], POLICY_HEADER, 1)
-        fields = {}
         for i, line in enumerate(lines[1:], start=2):
             if "=" not in line:
                 raise ChainFormatError("expected key=value", line_no=i)
-            key, value = line.split("=", 1)
-            fields.setdefault(key, value)  # a repeated key is refused where it repeats
-        try:
-            spec = cls(
-                max_epsilon_per_institution=float(fields["max_epsilon_per_institution"]),
-                min_sigma_floor=float(fields["min_sigma_floor"]),
-                allowed_regions=frozenset(fields["allowed_regions"].split(",")),
-                max_rounds=int(fields["max_rounds"]),
-            )
-        except (KeyError, ValueError, ConfigurationError) as exc:
-            raise ChainFormatError(f"bad policy file: {exc}") from exc
-        for i, (line, written) in enumerate(zip_longest(lines, spec.to_lines()), start=1):
-            as_written(line, written, i)
+        spec = _STAND_IN_POLICY
+        for i, (name, parse) in enumerate(_POLICY_FIELDS, start=2):
+            line = lines[i - 1] if i <= len(lines) else ""
+            try:
+                spec = replace(spec, **{name: parse(line.partition("=")[2])})
+            except ValueError as exc:
+                raise ChainFormatError(f"bad {name}: {exc}", line_no=i) from exc
+            as_written(line, spec.to_lines()[i - 1], i)
+        if len(lines) > i:  # a line past the last value
+            as_written(lines[i], None, i + 1)
         return spec
 
 
-# The one reading rule of every record file: a reader keeps a line only if
-# its writer spells what was read from it as exactly that line. A file then
-# has one spelling, and a hash verified over what was read covers the bytes
-# that were read. Parsers build records with plain int, float and
+# the policy file's value lines in order, each with its parser
+_POLICY_FIELDS = (("max_epsilon_per_institution", float), ("min_sigma_floor", float),
+                  ("allowed_regions", lambda text: frozenset(text.split(","))),
+                  ("max_rounds", int))
+# valid values for the fields not yet read
+_STAND_IN_POLICY = PolicySpec(1.0, 0.0, frozenset({"-"}), 1)
+
+
+# The one reading rule of every file an auditor reads: a reader keeps a line
+# only if its writer spells what was read from it as exactly that line. A
+# file then has one spelling, and a hash verified over what was read covers
+# the bytes that were read. Parsers build records with plain int, float and
 # bytes.fromhex and check only what a round trip cannot: that integers are
 # >= 0, digests 32 bytes, and ids and kinds valid.
 
-def as_written(line: str, written: str | None, line_no: int, error=ChainFormatError) -> None:
+def as_written(line: str, written: str | None, line_no: int) -> None:
     """Refuse ``line``, naming ``line_no``, unless it is ``written``: the
     writer's spelling of what was read from it."""
     if line != written:
-        raise error("not in the spelling its writer produces", line_no=line_no)
+        raise ChainFormatError("not in the spelling its writer produces", line_no=line_no)
 
 
-def read_as_written(line: str, line_no: int, parse, spell, error=ChainFormatError):
+def read_as_written(line: str, line_no: int, parse, spell):
     """``parse(line)``, kept only if ``spell`` writes it back as ``line``.
 
-    ``parse`` refuses what a round trip cannot catch by raising ValueError,
-    LookupError or ``error``; each, like a respelt line, raises ``error``
-    naming ``line_no``.
+    ``parse`` refuses what a round trip cannot catch by raising ValueError
+    (ChainFormatError included) or LookupError; each, like a respelt line,
+    raises ChainFormatError naming ``line_no``.
     """
     try:
         record = parse(line)
-    except (ValueError, LookupError, error) as exc:
-        raise error(f"malformed record ({exc})", line_no=line_no) from exc
-    as_written(line, spell(record), line_no, error)
+    except (ValueError, LookupError) as exc:
+        raise ChainFormatError(f"malformed record ({exc})", line_no=line_no) from exc
+    as_written(line, spell(record), line_no)
     return record
 
 

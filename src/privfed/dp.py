@@ -13,19 +13,19 @@ epsilon 2 and 4 fall outside the formula's proof regime.
 
 Accounting is basic (linear) composition: per-round epsilon and delta sums,
 enforced exactly against a per-institution run cap. Conservative and
-auditable on purpose. A ledger file is read by the audit files' one rule,
-keeping a line only if it re-serialises to itself, and a file that breaks
-its own cap is malformed.
+auditable on purpose. Each institution's ledger is written to a file that no
+privfed command reads back: an auditor checks the budget from the audit
+chain, a budget proof and the policy file.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .compliance import RecordFile, file_records, read_as_written
 from .errors import BudgetExhausted, ConfigurationError, LedgerError
 from .seeding import derive_seed, rng_for
 from .tasks import ensure_vector
@@ -125,7 +125,7 @@ class LedgerEntry:
     heuristic_regime: bool
 
 
-class AccountantLedger(RecordFile):
+class AccountantLedger:
     """Append-only per-institution (epsilon, delta) ledger under a run-level cap.
 
     Charges compose linearly and are compared against the cap with exact
@@ -146,13 +146,6 @@ class AccountantLedger(RecordFile):
 
     def charge(self, round_index: int, spend: PrivacyBudget,
                scale: NoiseScale) -> LedgerEntry:
-        self._check_round(round_index)
-        if self.would_exceed(spend):
-            raise BudgetExhausted(self.institution_id, spend.epsilon,
-                                  self.total_epsilon, self.budget_cap.epsilon)
-        return self._append(round_index, spend, scale)
-
-    def _check_round(self, round_index: int) -> None:
         if self.entries and round_index <= self.entries[-1].round_index:
             raise LedgerError(
                 f"round_index {round_index} not after last charged round "
@@ -160,9 +153,9 @@ class AccountantLedger(RecordFile):
             )
         if round_index < 0:
             raise LedgerError("round_index must be >= 0")
-
-    def _append(self, round_index: int, spend: PrivacyBudget,
-                scale: NoiseScale) -> LedgerEntry:
+        if self.would_exceed(spend):
+            raise BudgetExhausted(self.institution_id, spend.epsilon,
+                                  self.total_epsilon, self.budget_cap.epsilon)
         entry = LedgerEntry(
             round_index=round_index,
             epsilon_spent=spend.epsilon,
@@ -184,51 +177,20 @@ class AccountantLedger(RecordFile):
     HEADER = "privfed-ledger/1"
 
     def to_lines(self) -> list[str]:
-        lines = [self._header_line()]
+        lines = [f"{self.HEADER} institution={self.institution_id} "
+                 f"cap_epsilon={self.budget_cap.epsilon!r} "
+                 f"cap_delta={self.budget_cap.delta!r}"]
         cumulative = 0.0
         for e in self.entries:
             cumulative += e.epsilon_spent
-            lines.append(self._entry_line(e, cumulative))
+            lines.append(f"round={e.round_index} epsilon={e.epsilon_spent!r} "
+                         f"delta={e.delta_spent!r} sigma={e.sigma!r} "
+                         f"clip_norm={e.clip_norm!r} cumulative_epsilon={cumulative!r} "
+                         f"heuristic={int(e.heuristic_regime)}")
         return lines
 
-    def _header_line(self) -> str:
-        return (f"{self.HEADER} institution={self.institution_id} "
-                f"cap_epsilon={self.budget_cap.epsilon!r} "
-                f"cap_delta={self.budget_cap.delta!r}")
-
-    @staticmethod
-    def _entry_line(e: LedgerEntry, cumulative: float) -> str:
-        return (f"round={e.round_index} epsilon={e.epsilon_spent!r} delta={e.delta_spent!r} "
-                f"sigma={e.sigma!r} clip_norm={e.clip_norm!r} "
-                f"cumulative_epsilon={cumulative!r} heuristic={int(e.heuristic_regime)}")
-
-    @classmethod
-    def parse_lines(cls, lines: list[str]) -> "AccountantLedger":
-        """The ledger whose ``to_lines()`` is exactly ``lines``; an entry past
-        the ledger's own cap or out of round order is malformed too."""
-        lines = file_records(lines)
-        ledger = read_as_written(lines[0], 1, cls._from_header, cls._header_line, LedgerError)
-        for line_no, line in enumerate(lines[1:], start=2):
-            read_as_written(line, line_no, ledger._charge_line,
-                            lambda e: ledger._entry_line(e, ledger.total_epsilon), LedgerError)
-        return ledger
-
-    @classmethod
-    def _from_header(cls, line: str) -> "AccountantLedger":
-        head = dict(part.split("=", 1) for part in line.split(" ")[1:])
-        return cls(head["institution"], PrivacyBudget(float(head["cap_epsilon"]),
-                                                      float(head["cap_delta"])))
-
-    def _charge_line(self, line: str) -> LedgerEntry:
-        """Charge the entry that ``line`` records; raise if it breaks the cap."""
-        kv = dict(part.split("=", 1) for part in line.split(" "))
-        round_index = int(kv["round"])
-        spend = PrivacyBudget(float(kv["epsilon"]), float(kv["delta"]))
-        scale = NoiseScale(float(kv["sigma"]), float(kv["clip_norm"]), kv["heuristic"] == "1")
-        self._check_round(round_index)
-        if self.would_exceed(spend):
-            raise ValueError("entry exceeds the ledger's own cap")
-        return self._append(round_index, spend, scale)
+    def write(self, path) -> None:
+        Path(path).write_bytes(("\n".join(self.to_lines()) + "\n").encode("utf-8"))
 
 
 def schedule_round_budgets(cap: PrivacyBudget, rounds: int) -> list[PrivacyBudget]:

@@ -29,19 +29,8 @@ class ProtocolError(RuntimeError):
     """A federation or secure-aggregation protocol contract was broken."""
 
 
-class _NamesLine:
-    """An error that may name ``line_no``, the 1-based line of the first
-    malformed record of a file."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-
-
-class LedgerError(_NamesLine, RuntimeError):
-    """Privacy-ledger misuse (out-of-order rounds, malformed ledger files)."""
+class LedgerError(RuntimeError):
+    """Privacy-ledger misuse (out-of-order rounds, an unscheduled round)."""
 
 
 class BudgetExhausted(RuntimeError):
@@ -63,8 +52,15 @@ class BudgetExhausted(RuntimeError):
         )
 
 
-class FormatError(_NamesLine, ValueError):
-    """A file read from outside the program could not be parsed."""
+class FormatError(ValueError):
+    """A file read from outside the program could not be parsed; ``line_no``,
+    when given, is the 1-based line of its first malformed record."""
+
+    def __init__(self, message: str, line_no: int | None = None):
+        self.line_no = line_no
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        super().__init__(message)
 
 
 class ChainFormatError(FormatError):

@@ -278,11 +278,14 @@ def local_train_stack(model, datasets: list[LocalDataset], epochs: int,
     xt = xb.transpose(0, 2, 1)
     y = np.stack([data.labels for data in datasets])
     w = np.tile(w, (len(datasets), 1))
-    for _ in range(epochs):
-        z = np.matmul(xb, w[:, :, None])[:, :, 0]
-        if first.task_kind == CLASSIFICATION:
-            z = _sigmoid(z)
-        w -= lr * (np.matmul(xt, (z - y)[:, :, None])[:, :, 0] / n)
+    # a diverging descent returns non-finite weights, which ensure_vector
+    # refuses where they are used, so numpy need not warn on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            z = np.matmul(xb, w[:, :, None])[:, :, 0]
+            if first.task_kind == CLASSIFICATION:
+                z = _sigmoid(z)
+            w -= lr * (np.matmul(xt, (z - y)[:, :, None])[:, :, 0] / n)
     return w
 
 

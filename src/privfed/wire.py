@@ -90,8 +90,5 @@ class EventTrace:
         self.events.append(ev)
         return ev
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def __iter__(self):
         return iter(self.events)

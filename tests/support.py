@@ -21,8 +21,7 @@ from privfed.compliance import (
     PolicySpec,
     TableLeaf,
 )
-from privfed.dp import AccountantLedger, NoiseScale, PrivacyBudget
-from privfed.errors import ChainFormatError, ConfigurationError, LedgerError
+from privfed.errors import ChainFormatError, ConfigurationError
 from privfed.governance import (
     DISCOUNT,
     NOISE_TIERS,
@@ -356,32 +355,3 @@ def reference_read_policy(lines: list[str]) -> PolicySpec:
     if spec.to_lines() != lines:
         raise ChainFormatError("policy file is not in its written form")
     return spec
-
-
-def reference_read_ledger(lines: list[str]) -> AccountantLedger:
-    if len(lines) > 1 and lines[-1] == "":
-        lines = lines[:-1]
-    try:
-        head = dict(part.split("=", 1) for part in lines[0].split(" ")[1:])
-        ledger = AccountantLedger(head["institution"], PrivacyBudget(
-            float(head["cap_epsilon"]), float(head["cap_delta"])))
-        if ledger._header_line() != lines[0]:
-            raise ValueError("not as written")
-    except (IndexError, KeyError, ValueError) as exc:
-        raise LedgerError(f"malformed ledger header ({exc!r})", line_no=1) from exc
-    for line_no, line in enumerate(lines[1:], start=2):
-        try:
-            kv = dict(part.split("=", 1) for part in line.split(" "))
-            round_index = int(kv["round"])
-            spend = PrivacyBudget(float(kv["epsilon"]), float(kv["delta"]))
-            scale = NoiseScale(float(kv["sigma"]), float(kv["clip_norm"]),
-                               kv["heuristic"] == "1")
-            ledger._check_round(round_index)
-            if ledger.would_exceed(spend):
-                raise ValueError("entry exceeds the ledger's own cap")
-            entry = ledger._append(round_index, spend, scale)
-            if ledger._entry_line(entry, ledger.total_epsilon) != line:
-                raise ValueError("not as written")
-        except (KeyError, ValueError, LedgerError) as exc:
-            raise LedgerError(f"malformed ledger entry ({exc!r})", line_no=line_no) from exc
-    return ledger

@@ -260,6 +260,7 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, key, value):
     assert f"{key}: must be a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("config,message", [
     # plain averaging diverges to non-finite weights
     ("task.kind=regression\nlr=1e6\nrounds=20\nagg.mode=plain\ndp.enabled=false\n",

@@ -631,6 +631,18 @@ class TestPolicyFile:
         with pytest.raises(ChainFormatError):
             PolicySpec.read(path)
 
+    @pytest.mark.parametrize("edit, line_no", [
+        (lambda ls: ls[:4] + ["max_rounds=x"], 5),
+        (lambda ls: ls[:4], 5),  # no max_rounds line: named where it belongs
+        (lambda ls: ls[:1] + ["max_epsilon_per_institution=abc"] + ls[2:], 2),
+        (lambda ls: ls[:3] + ["allowed_regions=us east"] + ls[4:], 4),
+    ], ids=["unparsed-rounds", "missing-rounds", "unparsed-epsilon", "bad-region"])
+    def test_bad_value_names_its_line(self, edit, line_no):
+        lines = edit(policy(cap=3.5, floor=0.25).to_lines())
+        with pytest.raises(ChainFormatError, match=f"^line {line_no}: ") as refused:
+            PolicySpec.parse_lines(lines)
+        assert refused.value.line_no == line_no
+
 
 def test_verify_proof_under_20ms_on_1000_entry_chain():
     charges = {f"inst{i:02d}": [0.01] * 50 for i in range(20)}  # 1000 entries
