@@ -35,6 +35,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -106,10 +107,10 @@ class PolicySpec(RecordFile):
     max_rounds: int
 
     def __post_init__(self):
-        if not self.max_epsilon_per_institution > 0:
-            raise ConfigurationError("max_epsilon_per_institution must be > 0")
-        if self.min_sigma_floor < 0:
-            raise ConfigurationError("min_sigma_floor must be >= 0")
+        if not 0 < self.max_epsilon_per_institution < math.inf:
+            raise ConfigurationError("max_epsilon_per_institution must be a finite real > 0")
+        if not 0 <= self.min_sigma_floor < math.inf:
+            raise ConfigurationError("min_sigma_floor must be a finite real >= 0")
         if not self.allowed_regions:
             raise ConfigurationError("allowed_regions must be nonempty")
         for region in self.allowed_regions:

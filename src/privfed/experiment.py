@@ -265,12 +265,19 @@ def run_governance(config: ExperimentConfig, episodes: int, report: ExperimentRe
                    recorder: AuditRecorder | None = None) -> None:
     """Train the governance controller on the violation-prone scenario for
     ``episodes`` episodes; put its learning curve and its summary against the
-    static baseline into ``report``."""
+    static baseline into ``report``.
+
+    ``recorder`` audits what the controller does, not how it learned: it is
+    attached only after training, so its chain holds the greedy evaluation
+    rollouts of the summary, trained policy first and then the static
+    baseline. A simulated controller's exploration episodes act for no real
+    institution, and no proof is built from them."""
     weights = RewardWeights(config.governance_alpha, config.governance_beta,
                             config.governance_gamma)
     env = GovernanceEnv(ScenarioConfig(), weights,
-                        seed=derive_seed(config.seed, "governance"), recorder=recorder)
+                        seed=derive_seed(config.seed, "governance"))
     training = train_controller(env, episodes, derive_seed(config.seed, "controller"))
+    env.recorder = recorder
     report.governance_curve = training.curve
     report.governance_summary = governance_summary(env, training.policy, episodes=2)
 
@@ -318,6 +325,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
     if config.governance_enabled:
         gov_recorder = AuditRecorder(seed=derive_seed(config.seed, "gov-audit"))
         run_governance(config, config.governance_episodes, report, gov_recorder)
+        gov_recorder.chain.seal()
         gov_recorder.chain.write(out / "governance.chain")
 
     # event trace: one JSON record per simulated network/compute event

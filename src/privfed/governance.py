@@ -329,16 +329,19 @@ class GovernanceEnv:
     strictness. Infeasible actions (a move past its knob's bounds, or
     lowering sigma through the policy floor) apply as no_op with an
     ``infeasible`` flag. Raising the tier never lowers sigma.
+
+    ``recorder`` is None until a caller sets it; from then on each step's
+    action, budget charges and region traffic go to its chain. It draws no
+    randomness, so it changes no telemetry or reward.
     """
 
     actions = GOVERNANCE_ACTIONS
 
-    def __init__(self, scenario: ScenarioConfig, weights: RewardWeights, seed: int,
-                 recorder: AuditRecorder | None = None):
+    def __init__(self, scenario: ScenarioConfig, weights: RewardWeights, seed: int):
         self.scenario = scenario
         self.weights = weights
         self.seed = seed
-        self.recorder = recorder
+        self.recorder: AuditRecorder | None = None
         self._shadow_cache: dict[tuple[int, int], attacks.ShadowModelSet] = {}
 
         # the task is fixed for the scenario; episodes differ through the

@@ -32,7 +32,7 @@ def ensure_vector(values, dim: int | None = None, name: str = "vector") -> np.nd
         raise ShapeError(f"{name} must be 1-D, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ShapeError(f"{name} has dimension {v.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NumericError(f"{name} contains non-finite entries")
     return v
 
@@ -96,7 +96,7 @@ class LocalDataset:
             )
         if self.features.shape[0] < 1:
             raise ConfigurationError("dataset must contain at least one sample")
-        if not (np.all(np.isfinite(self.features)) and np.all(np.isfinite(self.labels))):
+        if not (np.isfinite(self.features).all() and np.isfinite(self.labels).all()):
             raise NumericError("dataset contains non-finite values")
 
     @property

@@ -119,6 +119,22 @@ class TestVerifyAudit:
                      "--policy", str(artifacts["policy"])]) == 3
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name, line_no", [("max_epsilon_per_institution", 2),
+                                               ("min_sigma_floor", 3)])
+    def test_non_finite_policy_value_exits_three(self, artifacts, tmp_path, capsys,
+                                                 name, line_no, value):
+        # an infinite cap would pass every budget proof as compliant
+        lines = artifacts["policy"].read_text().split("\n")
+        assert lines[line_no - 1].startswith(f"{name}=")
+        lines[line_no - 1] = f"{name}={value}"
+        edited = tmp_path / "edited.policy"
+        edited.write_text("\n".join(lines))
+        assert main(["verify-audit", "--chain", str(artifacts["chain"]),
+                     "--proof", str(artifacts["proof"]),
+                     "--policy", str(edited)]) == 3
+        assert f"line {line_no}" in capsys.readouterr().err
+
     def test_leading_zero_sequence_exits_three(self, artifacts, tmp_path, capsys):
         # "0" before the first entry's sequence number: same value, other bytes
         header, rest = artifacts["chain"].read_text().split("\n", 1)
@@ -322,11 +338,12 @@ def test_secure_dp_run_matches_golden_digests(tmp_path, monkeypatch, kind):
 
 # The same run with the membership attack (its DP shadow recipe) and three
 # governance episodes (the scenario's train, clip-and-noise, charge and
-# average steps) on; digests recorded before those paths shared the
-# federation's round steps.
+# average steps) on. The body digests were recorded before those paths
+# shared the federation's round steps; the chain digest when the governance
+# chain came to hold only the evaluation rollouts, sealed.
 GOVERNED_GOLDEN_CONFIG = (GOLDEN_CONFIG + "attack.enabled=true\ngovernance.enabled=true\n"
                           "governance.episodes=3\n")
-GOVERNED_GOLDEN_CHAIN = "48a134f4b2541d71e6e0267e104cfd6e504083cbfa3322bd2710d9726784eafd"
+GOVERNED_GOLDEN_CHAIN = "8db0d548ee4fce09d2af13fe9c523aff289bfe6f838d060616a073f96a60698e"
 GOVERNED_GOLDEN_BODY = {
     "binary-classification": "ee37dcde86b08e1e5c02df2e63cf7fc1ec0eca18d2a3c49c18b62d0581f99a33",
     "regression": "068a764bce45c20414b6e5ba358c6c385db3aba1f5e6b71008ca1b95cf721bd1",

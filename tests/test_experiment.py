@@ -13,6 +13,7 @@ from privfed.experiment import (
     run_sweep,
     sweep_table,
 )
+from privfed.governance import ScenarioConfig
 
 from support import report_body_lines
 
@@ -48,6 +49,16 @@ class TestRunExperiment:
         assert report.compliance_verdicts     # dp enabled -> budget verdicts
         claims = {v["claim"] for v in report.compliance_verdicts}
         assert "budget-within-cap" in claims and "region-compliant" in claims
+
+    def test_governance_chain_holds_the_evaluation_rollouts_then_a_seal(self, tmp_path):
+        # two policies (trained, static baseline) x two greedy episodes; the
+        # training episodes write nothing
+        run_experiment(small_config(governance_enabled=True, governance_episodes=2), tmp_path)
+        chain = AuditChain.read(tmp_path / "governance.chain")
+        kinds = [e.record_kind for e in chain.entries]
+        assert kinds.count("governance-action") == 2 * 2 * ScenarioConfig().horizon_steps
+        assert kinds.index("chain-seal") == len(kinds) - 1
+        assert chain.verify()
 
     def test_attack_section_omitted_when_disabled(self, tmp_path):
         report = run_experiment(small_config(), tmp_path)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from privfed.compliance import AuditRecorder
 from privfed.errors import ConfigurationError
 from privfed.governance import (
     NOISE_TIERS,
@@ -233,6 +234,18 @@ def test_trained_controller_beats_baseline_on_small_scenario():
     baseline = run_policy(env, static_baseline_policy(), episodes=2)
     assert trained["mean_reward"] > baseline["mean_reward"]
     assert trained["violations"] < baseline["violations"]
+
+
+def test_recorder_changes_no_training():
+    plain = train_controller(GovernanceEnv(SMALL, WEIGHTS, seed=4), episodes=3, seed=4)
+    env = GovernanceEnv(SMALL, WEIGHTS, seed=4)
+    env.recorder = AuditRecorder(seed=0)
+    recorded = train_controller(env, episodes=3, seed=4)
+    assert env.recorder.chain.entries
+    assert recorded.curve == plain.curve
+    assert recorded.policy.q_values.keys() == plain.policy.q_values.keys()
+    for bucket, values in plain.policy.q_values.items():
+        assert np.array_equal(recorded.policy.q_values[bucket], values)
 
 
 TIER_SIGMAS = [tier_sigma(t) for t in range(len(NOISE_TIERS))]
