@@ -60,7 +60,6 @@ from .experiment import ExperimentReport, emit_report, run_experiment, run_sweep
 from .federation import (
     Federation,
     NetworkConfig,
-    RoundConfig,
     RoundResult,
     TrainingRun,
     weighted_average,

@@ -13,14 +13,16 @@ failure (5); config validation problems (an unreadable config file,
 non-finite numbers and a sigma floor above the calibrated sigma included),
 counts below 1 (``--episodes``, ``--pairs``, ``--seeds``), a bad ``--grid``
 epsilon, one whose sigma is below the floor, and two ``--grid`` tokens
-naming one setting exit 2 after listing every violated field. verify-audit exits 0
-compliant, 1 non-compliant, 2 invalid or tampered, 3 unparseable input
-(reporting the first malformed line; a missing policy value is reported at
-the line where it belongs); report exits 3 on an unreadable or malformed
-records file, wrong-typed fields included. No command reads a ``*.ledger``
-file. Any command exits 6, with one ``numeric failure:`` line and no numpy
-warning, on training that diverged to non-finite weights or an update
-outside secure aggregation's fixed-point range.
+naming one setting exit 2 after listing every violated field; an output
+path that cannot be written (``--out`` naming a file) exits 2 with one
+``cannot write output:`` line. verify-audit exits 0 compliant, 1
+non-compliant, 2 invalid or tampered, 3 unparseable input (reporting the
+first malformed line; a missing policy value is reported at the line where
+it belongs); report exits 3 on an unreadable or malformed records file,
+wrong-typed fields included. No command reads a ``*.ledger`` file. Any
+command exits 6, with one ``numeric failure:`` line and no numpy warning,
+on training that diverged to non-finite weights, an update outside secure
+aggregation's fixed-point range, or an overflowed simulated clock.
 """
 
 from __future__ import annotations
@@ -251,6 +253,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 6
+    except OSError as exc:
+        # each command maps its own input-read failures, so this is an output write
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -152,13 +152,25 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _in_float_range(convert):
+    """A JSON number parser refusing a number past the float range, which
+    would read as inf (``1e999``) or not render (a 400-digit integer)."""
+    def parse(text: str):
+        if not math.isfinite(float(text)):
+            raise ValueError("a number is past the float range")
+        return convert(text)
+    return parse
+
+
 def parse_record_lines(lines: list[str]) -> list[dict]:
     records = []
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line, parse_constant=_refuse_constant)
+            record = json.loads(line, parse_constant=_refuse_constant,
+                                parse_float=_in_float_range(float),
+                                parse_int=_in_float_range(int))
         except ValueError as exc:
             raise RecordsFormatError(f"not JSON ({exc})", line_no=line_no) from exc
         if not isinstance(record, dict) or not isinstance(record.get("kind"), str):

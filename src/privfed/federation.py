@@ -17,13 +17,14 @@ reproduce exactly under a fixed seed. Dropouts are decided per
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import secure_agg
 from .dp import NoiseScale, PrivacyBudget, UpdatePrivatizer
-from .errors import BudgetExhausted, ConfigurationError, ProtocolError, ShapeError
+from .errors import BudgetExhausted, ConfigurationError, NumericError, ProtocolError, ShapeError
 from .seeding import rng_for
 from .tasks import (
     EvalMetrics,
@@ -44,24 +45,6 @@ from .wire import (
 
 AGG_PLAIN = "plain"
 AGG_SECURE = "secure"
-
-
-@dataclass(frozen=True)
-class RoundConfig:
-    round_index: int
-    participating_ids: tuple[str, ...]
-    local_epochs: int
-    lr: float
-
-    def __post_init__(self):
-        if not self.participating_ids:
-            raise ConfigurationError("participating_ids must be nonempty")
-        if self.round_index < 0:
-            raise ConfigurationError("round_index must be >= 0")
-        if self.local_epochs < 0:
-            raise ConfigurationError("local_epochs must be >= 0")
-        if self.lr < 0:
-            raise ConfigurationError("lr must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -189,8 +172,6 @@ class TrainingRun:
     results: list[RoundResult]
     status: str  # completed | budget-exhausted | round-failure
     final_model: np.ndarray
-    halted_at_round: int | None = None
-    exhausted_institution: str | None = None
 
 
 class Federation:
@@ -231,44 +212,43 @@ class Federation:
             jitter = self.net.jitter_ms * u
         return self.net.latency_ms + jitter
 
-    def dropped_for_round(self, round_index: int, participating: tuple[str, ...]) -> frozenset[str]:
+    def dropped_for_round(self, round_index: int) -> frozenset[str]:
         """Dropouts are a deterministic function of (net.seed, round_index, id)."""
         if self.net.drop_probability == 0.0:
             return frozenset()
-        dropped = set()
-        for pid in participating:
-            u = rng_for(self.net.seed, "drop", round_index, pid).random()
-            if u < self.net.drop_probability:
-                dropped.add(pid)
-        return frozenset(dropped)
+        return frozenset(
+            pid for pid in self.datasets
+            if rng_for(self.net.seed, "drop", round_index, pid).random()
+            < self.net.drop_probability)
 
     # ------------------------------------------------------------------
 
     def run_round(
         self,
         global_model,
-        cfg: RoundConfig,
+        round_index: int,
+        local_epochs: int,
+        lr: float,
         dp_policy: UpdatePrivatizer | None = None,
         agg_mode: str = AGG_PLAIN,
     ) -> RoundResult:
-        """One federated round: broadcast, local training, optional DP and
-        masking, aggregation, evaluation.
+        """One federated round over every institution that did not drop out:
+        broadcast, local training, optional DP and masking, aggregation,
+        evaluation.
 
         Raises BudgetExhausted (ledger untouched for the failing charge) when
-        DP is enabled and any institution cannot afford the round.
+        DP is enabled and any institution cannot afford the round, and
+        NumericError when the virtual clock overflows.
         """
         if agg_mode not in (AGG_PLAIN, AGG_SECURE):
             raise ConfigurationError(f"unknown agg_mode {agg_mode!r}")
-        for pid in cfg.participating_ids:
-            if pid not in self.datasets:
-                raise ConfigurationError(f"no dataset for institution {pid!r}")
         global_model = ensure_vector(global_model, name="global_model")
         t0 = self.clock_ms
-        r = cfg.round_index
+        r = round_index
 
         # dropouts happen before any masking, so cancellation is never broken
-        dropped = self.dropped_for_round(r, cfg.participating_ids)
-        survivors = sorted(set(cfg.participating_ids) - dropped)
+        dropped = self.dropped_for_round(r)
+        survivors = sorted(set(self.datasets) - dropped)
         for pid in sorted(dropped):
             self.trace.record(t0, "drop", r, pid, COORDINATOR, note="link down")
         if not survivors:
@@ -284,52 +264,55 @@ class Federation:
             )
 
         dim = global_model.shape[0]
-        n_total = sum(self.datasets[pid].n for pid in survivors)
-
         privatize = None
         if dp_policy is not None:
             charge_round(self.ledgers, survivors, r, dp_policy.spend_for_round(r),
                          dp_policy.scale, self.recorder)
             privatize = dp_policy.privatize
         updates = train_clients(global_model, {pid: self.datasets[pid] for pid in survivors},
-                                cfg.local_epochs, cfg.lr, r, privatize)
+                                local_epochs, lr, r, privatize)
+
+        secure = agg_mode == AGG_SECURE
+        if secure:
+            # each update is pre-scaled by n_i / n_total, so the masked sum is the mean
+            n_total = sum(u.n_i for u in updates)
+            masks = secure_agg.derive_pairwise_masks(survivors, r, self.session_seed, dim)
+            masked = [secure_agg.mask_update(
+                          ClientUpdate(u.institution_id, u.weights * (u.n_i / n_total), u.n_i, r),
+                          masks[u.institution_id])
+                      for u in updates]
+            new_global = secure_agg.aggregate_masked(masked, survivors)
+        else:
+            new_global = weighted_average(updates)
 
         finish_times = {}
         for u in updates:
             pid = u.institution_id
             down = self._link_latency(r, pid, "down")
             self.trace.record(t0, "broadcast", r, COORDINATOR, pid, PAYLOAD_GLOBAL_MODEL)
-            t = t0 + down + train_ms(u.n_i, cfg.local_epochs)
+            t = t0 + down + train_ms(u.n_i, local_epochs)
             self.trace.record(t, "local-train", r, pid, pid)
             if dp_policy is not None:
                 t += DP_MS_PER_COORD * dim
                 self.trace.record(t, "dp-apply", r, pid, pid,
                                   note=f"sigma={dp_policy.scale.sigma:.6g}")
             finish_times[pid] = t
-
-        secure = agg_mode == AGG_SECURE
-        if secure:
-            masks = secure_agg.derive_pairwise_masks(survivors, r, self.session_seed, dim)
-            masked_updates = []
         payload = PAYLOAD_MASKED_UPDATE if secure else PAYLOAD_CLIENT_UPDATE
         for u in updates:
             pid = u.institution_id
             t = finish_times[pid]
             if secure:
-                scaled = ClientUpdate(pid, u.weights * (u.n_i / n_total), u.n_i, r)
-                masked_updates.append(secure_agg.mask_update(scaled, masks[pid]))
                 t += MASK_MS_PER_PAIR_COORD * (len(survivors) - 1) * dim
                 self.trace.record(t, "mask", r, pid, pid)
             up = self._link_latency(r, pid, "up")
             self.trace.record(t, "send", r, pid, COORDINATOR, payload)
             self.trace.record(t + up, "receive", r, COORDINATOR, COORDINATOR, payload, note=pid)
             finish_times[pid] = t + up
-        if secure:
-            new_global = secure_agg.aggregate_masked(masked_updates, survivors)
-        else:
-            new_global = weighted_average(updates)
 
         t_agg = max(finish_times.values()) + AGG_MS_PER_UPDATE_COORD * len(survivors) * dim
+        # every time in the round is a sum of non-negative terms at most t_agg
+        if not math.isfinite(t_agg):
+            raise NumericError(f"virtual clock overflowed in round {r}")
         self.trace.record(t_agg, "aggregate", r, COORDINATOR, COORDINATOR,
                           note=f"mode={agg_mode} survivors={len(survivors)}")
         self.clock_ms = t_agg
@@ -362,17 +345,13 @@ class Federation:
         if rounds < 1:
             raise ConfigurationError("rounds must be >= 1")
         model = ensure_vector(initial_model, name="initial_model")
-        ids = tuple(sorted(self.datasets))
         results: list[RoundResult] = []
         any_failed = False
         for r in range(rounds):
-            cfg = RoundConfig(r, ids, local_epochs, lr)
             try:
-                result = self.run_round(model, cfg, dp_policy, agg_mode)
-            except BudgetExhausted as exc:
-                return TrainingRun(results, "budget-exhausted", model,
-                                   halted_at_round=r,
-                                   exhausted_institution=exc.institution_id)
+                result = self.run_round(model, r, local_epochs, lr, dp_policy, agg_mode)
+            except BudgetExhausted:
+                return TrainingRun(results, "budget-exhausted", model)
             results.append(result)
             model = result.global_model
             any_failed = any_failed or result.round_failed

@@ -36,7 +36,7 @@ from privfed.experiment import (
     run_sweep,
     sweep_table,
 )
-from privfed.federation import Federation, NetworkConfig, RoundConfig, weighted_average
+from privfed.federation import Federation, NetworkConfig, weighted_average
 from privfed.governance import (
     GovernanceEnv,
     RewardWeights,
@@ -101,12 +101,11 @@ def test_criterion_2_secure_aggregation_equivalence_and_overhead():
         data = {d.institution_id: d for d in datasets}
         net = NetworkConfig(latency_ms=10, jitter_ms=2, drop_probability=0.0,
                             seed=round_seed)
-        cfg = RoundConfig(0, tuple(sorted(data)), 2, 0.8)
         model = np.zeros(task.model_dim)
         plain = Federation(data, eval_data, net, session_seed=round_seed).run_round(
-            model, cfg, agg_mode="plain")
+            model, 0, 2, 0.8, agg_mode="plain")
         secure = Federation(data, eval_data, net, session_seed=round_seed).run_round(
-            model, cfg, agg_mode="secure")
+            model, 0, 2, 0.8, agg_mode="secure")
         worst = max(worst, float(np.max(np.abs(
             plain.global_model - secure.global_model))))
     assert worst < 1e-6

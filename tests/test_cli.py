@@ -72,6 +72,22 @@ class TestOutputDirectory:
         assert "unknown key" in capsys.readouterr().err
         assert not (tmp_path / "out").exists() and not (tmp_path / "elsewhere").exists()
 
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        if command == "run":
+            args = ["run", "--config", str(cfg_file(tmp_path))]
+        else:
+            records = tmp_path / "report.records"
+            records.write_text('{"kind": "meta", "config_hash": "x", "seed": 1, '
+                               '"status": "completed"}\n')
+            args = ["report", "--records", str(records)]
+        assert main(args + ["--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output:") and "Traceback" not in err
+        assert taken.read_text() == "not a directory\n"
+
 
 class TestVerifyAudit:
     @pytest.fixture()
@@ -284,14 +300,39 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, key, value):
     # secure aggregation refuses a weight past its fixed-point range
     ("task.kind=regression\nlr=10\nagg.mode=secure\ndp.enabled=false\n",
      "fixed-point range"),
+    # a finite latency whose sum overflows the virtual clock in round 0
+    ("network.latency_ms=1e308\n", "clock"),
 ])
 def test_numeric_failure_exits_6_without_traceback(tmp_path, capsys, config, message):
     path = tmp_path / "exp.cfg"
     path.write_text(config + "task.num_samples=300\n")
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 6
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 6
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:") and message in err
     assert "Traceback" not in err
+    assert not (out / "trace.records").exists()
+
+
+def test_clock_overflow_in_sweep_exits_6_without_traceback(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text("network.latency_ms=1e308\ntask.num_samples=300\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--grid", "inf", "--seeds", "1", "--config", str(path),
+                 "--out", str(out)]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "clock" in err
+    assert "Traceback" not in err
+    assert not (out / "report.records").exists()
+
+
+def test_report_on_number_past_float_range_exits_3(tmp_path, capsys):
+    records = tmp_path / "report.records"
+    records.write_text('{"kind": "meta", "config_hash": "x", "seed": 1, "status": "completed"}\n'
+                       '{"kind": "round", "accuracy": 1e999}\n')
+    assert main(["report", "--records", str(records)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse failure: line 2:") and "float range" in err
 
 
 def test_report_on_wrong_typed_field_exits_3(tmp_path, capsys):
@@ -309,10 +350,13 @@ def test_report_on_wrong_typed_field_exits_3(tmp_path, capsys):
 # updates. The bodies carry config_hash, which does not cover the output
 # directory. The chain digest covers its closing chain-seal line, and the
 # proof digest the key-table proof format (privfed-compliance-proof/2).
+# The trace digest pins the virtual clock and the event order of every
+# round; both task kinds write the same trace.
 GOLDEN_CONFIG = ("task.num_samples=300\ninstitutions.count=5\nrounds=2\nlocal_epochs=2\n"
                  "lr=1.0\ndp.enabled=true\nagg.mode=secure\nseed=11\n")
 GOLDEN_CHAIN = "79e13e370567061620ad3a6fb58a81af8a1133164dc4dff2b0cef56c1b72498c"
 GOLDEN_PROOF = "02d933204f12740d673f08d6b86d7fea89c6f3340a7b19b84c92bd1a349ac656"
+GOLDEN_TRACE = "acec8d027f7f019794fe9a9e925aa972f7a6c3ff93db3abbd3bac64a91e6bc8e"
 GOLDEN_BODY = {
     "binary-classification": "d586324edda6ff2665ff2fd721fca00f8ef6b48f9e25f95e5418419f5626c2b2",
     "regression": "449720388ec8d5416c986c46dded50c956e2c1be14a789e3a89eca8da56b298a",
@@ -334,6 +378,25 @@ def test_secure_dp_run_matches_golden_digests(tmp_path, monkeypatch, kind):
     assert digest(body) == GOLDEN_BODY[kind]
     assert digest((out / "audit.chain").read_bytes()) == GOLDEN_CHAIN
     assert digest((out / "inst00.budget.proof").read_bytes()) == GOLDEN_PROOF
+    assert digest((out / "trace.records").read_bytes()) == GOLDEN_TRACE
+
+
+# The golden run with dropouts and unequal institution sizes: inst00 (90
+# samples) drops in round 0 and no round loses every institution, so the
+# trace pins the clock over a survivor subset, a stacked group of three
+# 60-sample institutions and a lone 30-sample one.
+DROPOUT_GOLDEN_TRACE = "705ed7e3f62da03a650a4fc3e04ca336414635b2e5f1175e6ff690b72e9059bc"
+
+
+def test_dropout_run_matches_golden_trace(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text(GOLDEN_CONFIG + "network.drop_probability=0.3\n"
+                    "institutions.sizes=90,60,60,60,30\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    trace = (out / "trace.records").read_bytes()
+    assert trace.count(b'"kind": "drop"') == 1 and b"round failed" not in trace
+    assert hashlib.sha256(trace).hexdigest() == DROPOUT_GOLDEN_TRACE
 
 
 # The same run with the membership attack (its DP shadow recipe) and three

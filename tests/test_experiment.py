@@ -79,7 +79,7 @@ class TestRunExperiment:
         run = fed.run_training(np.zeros(task.model_dim), 3, cfg.local_epochs,
                                cfg.lr, dp_policy=dp)
         assert run.status == "budget-exhausted"
-        assert run.halted_at_round == 1  # round 0 spends 1.0 exactly, round 1 denied
+        assert len(run.results) == 1  # round 0 spends 1.0 exactly, round 1 denied
 
     def test_artifacts_written_and_verifiable(self, tmp_path):
         cfg = small_config()
@@ -154,6 +154,11 @@ class TestRecordsAreStrictJson:
     def test_non_finite_constant_is_not_read(self):
         with pytest.raises(RecordsFormatError):
             parse_record_lines(['{"kind": "round", "accuracy": Infinity}'])
+
+    @pytest.mark.parametrize("number", ["1e999", "-1e999", "1" + "0" * 400])
+    def test_number_past_float_range_is_not_read(self, number):
+        with pytest.raises(RecordsFormatError, match="line 1:"):
+            parse_record_lines([f'{{"kind": "round", "accuracy": {number}}}'])
 
     @pytest.mark.parametrize("record", [
         {"kind": "round", "accuracy": "high"},
