@@ -9,8 +9,9 @@ Subcommands:
   report        re-render a table from a saved records file
 
 Exit codes: run distinguishes success (0), budget exhaustion (4), and round
-failure (5); config validation problems (an unreadable config file,
-non-finite numbers and a sigma floor above the calibrated sigma included),
+failure (5); config validation problems (an unreadable config file, an
+unknown key, a field set on two lines, more than 1000 rounds, non-finite
+numbers and a sigma floor above the calibrated sigma included),
 counts below 1 (``--episodes``, ``--pairs``, ``--seeds``), a bad ``--grid``
 epsilon, one whose sigma is below the floor, and two ``--grid`` tokens
 naming one setting exit 2 after listing every violated field; an output
@@ -22,7 +23,8 @@ it belongs); report exits 3 on an unreadable or malformed records file,
 wrong-typed fields included. No command reads a ``*.ledger`` file. Any
 command exits 6, with one ``numeric failure:`` line and no numpy warning,
 on training that diverged to non-finite weights, an update outside secure
-aggregation's fixed-point range, or an overflowed simulated clock.
+aggregation's fixed-point range (an encoding that overflows to inf included),
+or an overflowed simulated clock.
 """
 
 from __future__ import annotations

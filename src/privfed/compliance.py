@@ -51,7 +51,7 @@ GENESIS = bytes(DIGEST_LEN)
 
 CHAIN_HEADER = f"privfed-audit-chain/1 {HASH_NAME}"
 PROOF_HEADER = f"privfed-compliance-proof/2 {HASH_NAME}"
-POLICY_HEADER = "privfed-policy/1"
+POLICY_HEADER = "privfed-policy/2"
 
 RECORD_KINDS = ("budget-charge", "policy-decision", "region-transfer", "governance-action")
 # written only by AuditChain.seal, as the coordinator's; the readers accept it
@@ -104,7 +104,6 @@ class PolicySpec(RecordFile):
     max_epsilon_per_institution: float
     min_sigma_floor: float
     allowed_regions: frozenset[str]
-    max_rounds: int
 
     def __post_init__(self):
         if not 0 < self.max_epsilon_per_institution < math.inf:
@@ -116,8 +115,6 @@ class PolicySpec(RecordFile):
         for region in self.allowed_regions:
             if not _IDENT.fullmatch(region):
                 raise ConfigurationError(f"bad region tag {region!r}")
-        if self.max_rounds < 1:
-            raise ConfigurationError("max_rounds must be >= 1")
 
     def to_lines(self) -> list[str]:
         return [
@@ -125,7 +122,6 @@ class PolicySpec(RecordFile):
             f"max_epsilon_per_institution={self.max_epsilon_per_institution!r}",
             f"min_sigma_floor={self.min_sigma_floor!r}",
             f"allowed_regions={','.join(sorted(self.allowed_regions))}",
-            f"max_rounds={self.max_rounds}",
         ]
 
     def home_region(self, institution_id: str) -> str:
@@ -159,10 +155,9 @@ class PolicySpec(RecordFile):
 
 # the policy file's value lines in order, each with its parser
 _POLICY_FIELDS = (("max_epsilon_per_institution", float), ("min_sigma_floor", float),
-                  ("allowed_regions", lambda text: frozenset(text.split(","))),
-                  ("max_rounds", int))
+                  ("allowed_regions", lambda text: frozenset(text.split(","))))
 # valid values for the fields not yet read
-_STAND_IN_POLICY = PolicySpec(1.0, 0.0, frozenset({"-"}), 1)
+_STAND_IN_POLICY = PolicySpec(1.0, 0.0, frozenset({"-"}))
 
 
 # The one reading rule of every file an auditor reads: a reader keeps a line

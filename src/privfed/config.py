@@ -21,13 +21,16 @@ from .errors import ConfigurationError, ConfigValidationError
 from .federation import AGG_PLAIN, AGG_SECURE, NetworkConfig
 from .tasks import TASK_KINDS
 
+# build_privatizer allocates one PrivacyBudget per round, so validate refuses
+# more rounds than this before it calibrates sigma
+MAX_ROUNDS = 1000
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     task_kind: str = "binary-classification"
     task_feature_dim: int = 8
     task_num_samples: int = 2400
-    task_noise: float = 0.1
 
     institutions_count: int = 16
     institutions_partition: str = "iid"
@@ -45,23 +48,16 @@ class ExperimentConfig:
     agg_mode: str = AGG_SECURE
 
     network_latency_ms: float = 10.0
-    network_jitter_ms: float = 2.0
     network_drop_probability: float = 0.0
 
     governance_enabled: bool = False
-    governance_alpha: float = 1.0
-    governance_beta: float = 2.0
-    governance_gamma: float = 0.6
     governance_episodes: int = 300
 
     attack_enabled: bool = False
-    attack_shadows: int = 6
-    attack_probes: int = 200
 
     policy_max_epsilon: float = 4.0
     policy_min_sigma_floor: float = 0.0
     policy_allowed_regions: tuple[str, ...] = ("us-east", "eu-west")
-    policy_max_rounds: int = 1000
 
     seed: int = 0
 
@@ -86,8 +82,6 @@ class ExperimentConfig:
             errors.append("task.feature_dim: must be >= 1")
         if self.task_num_samples < 1:
             errors.append("task.num_samples: must be >= 1")
-        if self.task_noise < 0:
-            errors.append("task.noise: must be >= 0")
         if self.institutions_count < 1:
             errors.append("institutions.count: must be >= 1")
         if self.institutions_partition not in ("iid", "label-skew"):
@@ -103,6 +97,8 @@ class ExperimentConfig:
             errors.append("task.num_samples: fewer samples than institutions")
         if self.rounds < 1:
             errors.append("rounds: must be >= 1")
+        if self.rounds > MAX_ROUNDS:
+            errors.append(f"rounds: must be <= {MAX_ROUNDS}")
         if self.local_epochs < 0:
             errors.append("local_epochs: must be >= 0")
         if self.lr < 0:
@@ -116,31 +112,18 @@ class ExperimentConfig:
                 errors.append("dp.clip_norm: must be > 0")
         if self.agg_mode not in (AGG_PLAIN, AGG_SECURE):
             errors.append("agg.mode: must be plain or secure")
-        if self.network_latency_ms < 0 or self.network_jitter_ms < 0:
-            errors.append("network.latency_ms: latency and jitter must be >= 0")
+        if self.network_latency_ms < 0:
+            errors.append("network.latency_ms: must be >= 0")
         if not (0 <= self.network_drop_probability < 1):
             errors.append("network.drop_probability: must lie in [0, 1)")
-        if self.governance_enabled:
-            if self.governance_episodes < 1:
-                errors.append("governance.episodes: must be >= 1")
-            if min(self.governance_alpha, self.governance_beta,
-                   self.governance_gamma) < 0:
-                errors.append("governance.alpha: reward weights must be >= 0")
-        if self.attack_enabled:
-            if self.attack_shadows < 1:
-                errors.append("attack.shadows: must be >= 1")
-            if self.attack_probes < 1:
-                errors.append("attack.probes: must be >= 1")
+        if self.governance_enabled and self.governance_episodes < 1:
+            errors.append("governance.episodes: must be >= 1")
         if not self.policy_max_epsilon > 0:
             errors.append("policy.max_epsilon: must be > 0")
         if self.policy_min_sigma_floor < 0:
             errors.append("policy.min_sigma_floor: must be >= 0")
         if not self.policy_allowed_regions:
             errors.append("policy.allowed_regions: must be nonempty")
-        if self.policy_max_rounds < 1:
-            errors.append("policy.max_rounds: must be >= 1")
-        if self.rounds > self.policy_max_rounds:
-            errors.append("rounds: exceeds policy.max_rounds")
         if self.dp_enabled and not any(e.startswith(("dp.", "rounds:")) for e in errors):
             sigma = build_privatizer(PrivacyBudget(self.dp_epsilon, self.dp_delta),
                                      self.dp_clip_norm, self.rounds, self.seed).scale.sigma
@@ -160,13 +143,11 @@ class ExperimentConfig:
             max_epsilon_per_institution=self.policy_max_epsilon,
             min_sigma_floor=self.policy_min_sigma_floor,
             allowed_regions=frozenset(self.policy_allowed_regions),
-            max_rounds=self.policy_max_rounds,
         )
 
     def network(self) -> NetworkConfig:
         return NetworkConfig(
             latency_ms=self.network_latency_ms,
-            jitter_ms=self.network_jitter_ms,
             drop_probability=self.network_drop_probability,
             seed=self.seed,
         )
@@ -218,8 +199,10 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse key=value lines into a validated config."""
+    """Parse key=value lines into a validated config. A field may be set on
+    one line only, under either spelling of its key."""
     values = {}
+    set_at = {}  # field name -> the line that set it
     errors = []
     kinds = {f.name: f.type for f in fields(ExperimentConfig)}
     for i, raw in enumerate(text.split("\n"), start=1):
@@ -234,6 +217,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if field_name not in kinds:
             errors.append(f"line {i}: unknown key {key.strip()!r}")
             continue
+        if field_name in set_at:
+            errors.append(f"line {i}: {ExperimentConfig.key_for(field_name)!r} "
+                          f"already set at line {set_at[field_name]}")
+            continue
+        set_at[field_name] = i
         try:
             values[field_name] = _parse_value(field_name, value, kinds[field_name])
         except ValueError as exc:

@@ -40,6 +40,11 @@ from . import __version__
 
 SETTING_NO_DP = "no-dp"
 
+# the membership attack on a run's final model: shadow models, and member
+# probes shared out across the institutions
+ATTACK_SHADOWS = 6
+ATTACK_PROBES = 200
+
 
 @dataclass
 class ExperimentReport:
@@ -207,7 +212,6 @@ def build_federation(config: ExperimentConfig, recorder=None) -> tuple[Federatio
         kind=config.task_kind,
         feature_dim=config.task_feature_dim,
         num_samples=config.task_num_samples,
-        noise=config.task_noise,
         seed=derive_seed(config.seed, "task"),
     )
     datasets = generate_task(task, config.institutions_count,
@@ -253,7 +257,7 @@ def attack_record(scenario: str, result: attacks.AttackResult) -> dict:
 def _attack_on_run(config: ExperimentConfig, run: TrainingRun, fed: Federation,
                    task: SyntheticTask, dp_policy: UpdatePrivatizer | None) -> dict:
     """Membership inference against the run's final global model."""
-    per_inst = max(1, config.attack_probes // len(fed.datasets))
+    per_inst = max(1, ATTACK_PROBES // len(fed.datasets))
     members = attacks.member_probes([fed.datasets[pid] for pid in sorted(fed.datasets)],
                                     per_inst)
     nonmembers = sample_dataset(task, members.n, "attack-nonmembers")
@@ -267,8 +271,8 @@ def _attack_on_run(config: ExperimentConfig, run: TrainingRun, fed: Federation,
         rounds=min(rounds_done, 6), epochs_per_round=config.local_epochs,
         lr=config.lr, dp_scale=dp_scale)
     shadows = attacks.train_shadow_models(
-        task, config.attack_shadows, recipe, derive_seed(config.seed, "shadows"),
-        samples_per_split=min(members.n, task.num_samples // (2 * config.attack_shadows)))
+        task, ATTACK_SHADOWS, recipe, derive_seed(config.seed, "shadows"),
+        samples_per_split=min(members.n, task.num_samples // (2 * ATTACK_SHADOWS)))
     return attack_record("final-model", attacks.run_membership_inference(
         run.final_model, shadows, members, nonmembers))
 
@@ -284,9 +288,7 @@ def run_governance(config: ExperimentConfig, episodes: int, report: ExperimentRe
     rollouts of the summary, trained policy first and then the static
     baseline. A simulated controller's exploration episodes act for no real
     institution, and no proof is built from them."""
-    weights = RewardWeights(config.governance_alpha, config.governance_beta,
-                            config.governance_gamma)
-    env = GovernanceEnv(ScenarioConfig(), weights,
+    env = GovernanceEnv(ScenarioConfig(), RewardWeights(),
                         seed=derive_seed(config.seed, "governance"))
     training = train_controller(env, episodes, derive_seed(config.seed, "controller"))
     env.recorder = recorder

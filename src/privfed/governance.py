@@ -68,9 +68,9 @@ STRICTNESS_QUERY_REPEATS = (16, 4, 1)  # lenient, standard, strict
 
 @dataclass(frozen=True)
 class RewardWeights:
-    alpha: float
-    beta: float
-    gamma: float
+    alpha: float = 1.0
+    beta: float = 2.0
+    gamma: float = 0.6
 
     def __post_init__(self):
         if min(self.alpha, self.beta, self.gamma) < 0:
@@ -290,10 +290,9 @@ class ScenarioConfig:
     local_epochs: int = 5
     horizon_steps: int = 8
     policy: PolicySpec = PolicySpec(
-        max_epsilon_per_institution=110.0,
+        max_epsilon_per_institution=BUDGET_CAP_EPSILON,
         min_sigma_floor=0.125,
         allowed_regions=frozenset({"us-east", "eu-west"}),
-        max_rounds=500,
     )
 
 

@@ -164,7 +164,8 @@ def mask_update(update: ClientUpdate, mask) -> MaskedUpdate:
     mask = np.asarray(mask)
     if mask.dtype != np.uint64 or mask.shape != update.weights.shape:
         raise ShapeError(f"mask must be a uint64 vector of length {update.dimension}")
-    fixed = np.rint(np.ldexp(update.weights, FRACTION_BITS))
+    with np.errstate(over="ignore"):  # an overflow to inf is refused just below
+        fixed = np.rint(np.ldexp(update.weights, FRACTION_BITS))
     if np.any(np.abs(fixed) >= MAX_ENCODED):
         raise NumericError(f"update from {update.institution_id} is outside the "
                            f"fixed-point range |w| < {MAX_ENCODED >> FRACTION_BITS}")

@@ -348,8 +348,7 @@ def reference_read_policy(lines: list[str]) -> PolicySpec:
     try:
         spec = PolicySpec(float(fields["max_epsilon_per_institution"]),
                           float(fields["min_sigma_floor"]),
-                          frozenset(fields["allowed_regions"].split(",")),
-                          int(fields["max_rounds"]))
+                          frozenset(fields["allowed_regions"].split(",")))
     except (KeyError, ValueError, ConfigurationError) as exc:
         raise ChainFormatError(f"bad policy file: {exc}") from exc
     if spec.to_lines() != lines:

@@ -259,7 +259,7 @@ def _build_50_entry_artifacts():
     recorder, ledgers = _charged_recorder(charges, seed=5, cap_eps=10.0)
     assert len(recorder.chain.entries) == 50
     proof = prove_budget_compliance(recorder, ledgers["inst0"])
-    policy = PolicySpec(10.0, 0.0, frozenset({"us-east"}), 100)
+    policy = PolicySpec(10.0, 0.0, frozenset({"us-east"}))
     chain_bytes = ("\n".join(recorder.chain.to_lines()) + "\n").encode()
     proof_bytes = ("\n".join(proof.to_lines()) + "\n").encode()
     return chain_bytes, proof_bytes, policy
@@ -317,7 +317,7 @@ def test_criterion_7_tamper_evidence_and_verification_speed():
     charges = {f"inst{i:02d}": [0.01] * 50 for i in range(20)}
     recorder, ledgers = _charged_recorder(charges, seed=9, cap_eps=10.0)
     big_proof = prove_budget_compliance(recorder, ledgers["inst00"])
-    big_policy = PolicySpec(10.0, 0.0, frozenset({"us-east"}), 5000)
+    big_policy = PolicySpec(10.0, 0.0, frozenset({"us-east"}))
     head = recorder.chain.head_hash
     verify_proof(big_proof, head, big_policy)  # warm up
     t0 = time.perf_counter()

@@ -72,6 +72,17 @@ class TestOutputDirectory:
         assert "unknown key" in capsys.readouterr().err
         assert not (tmp_path / "out").exists() and not (tmp_path / "elsewhere").exists()
 
+    # constants of the code that uses them, not settings
+    @pytest.mark.parametrize("key", ["task.noise", "network.jitter_ms", "governance.alpha",
+                                     "governance.beta", "governance.gamma", "attack.shadows",
+                                     "attack.probes", "policy.max_rounds"])
+    def test_removed_key_in_config_exits_2(self, tmp_path, capsys, key):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"seed=1\n{key}=1\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"line 2: unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["run", "report"])
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command):
         taken = tmp_path / "taken"
@@ -300,6 +311,8 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, key, value):
     # secure aggregation refuses a weight past its fixed-point range
     ("task.kind=regression\nlr=10\nagg.mode=secure\ndp.enabled=false\n",
      "fixed-point range"),
+    # noise so large that encoding overflows to inf, which the range check refuses
+    ("dp.epsilon=1e-300\n", "fixed-point range"),
     # a finite latency whose sum overflows the virtual clock in round 0
     ("network.latency_ms=1e308\n", "clock"),
 ])
@@ -358,8 +371,8 @@ GOLDEN_CHAIN = "79e13e370567061620ad3a6fb58a81af8a1133164dc4dff2b0cef56c1b72498c
 GOLDEN_PROOF = "02d933204f12740d673f08d6b86d7fea89c6f3340a7b19b84c92bd1a349ac656"
 GOLDEN_TRACE = "acec8d027f7f019794fe9a9e925aa972f7a6c3ff93db3abbd3bac64a91e6bc8e"
 GOLDEN_BODY = {
-    "binary-classification": "d586324edda6ff2665ff2fd721fca00f8ef6b48f9e25f95e5418419f5626c2b2",
-    "regression": "449720388ec8d5416c986c46dded50c956e2c1be14a789e3a89eca8da56b298a",
+    "binary-classification": "23016e3468db93108227d866ae9e726b45a5df80acd3b3e8aabba6b6758767b0",
+    "regression": "de8b7aa7f6cca503b61f4d6616a2ff2e3d636ef5e032711b5722a90b79c8bbb0",
 }
 
 
@@ -408,8 +421,8 @@ GOVERNED_GOLDEN_CONFIG = (GOLDEN_CONFIG + "attack.enabled=true\ngovernance.enabl
                           "governance.episodes=3\n")
 GOVERNED_GOLDEN_CHAIN = "8db0d548ee4fce09d2af13fe9c523aff289bfe6f838d060616a073f96a60698e"
 GOVERNED_GOLDEN_BODY = {
-    "binary-classification": "ee37dcde86b08e1e5c02df2e63cf7fc1ec0eca18d2a3c49c18b62d0581f99a33",
-    "regression": "068a764bce45c20414b6e5ba358c6c385db3aba1f5e6b71008ca1b95cf721bd1",
+    "binary-classification": "2e0f0357fc715391adf49bbaa69d1677c2f10af87b5f9e101bd2a17538b92b44",
+    "regression": "13ad82108181fc2409d56fca9fcea052065d4617a7093ff1c0486c3a7107e6e7",
 }
 
 

@@ -39,8 +39,8 @@ from privfed.errors import (
 from privfed.seeding import salt_for
 
 
-def policy(cap=2.0, floor=0.0, regions=("us-east", "eu-west"), max_rounds=100):
-    return PolicySpec(cap, floor, frozenset(regions), max_rounds)
+def policy(cap=2.0, floor=0.0, regions=("us-east", "eu-west")):
+    return PolicySpec(cap, floor, frozenset(regions))
 
 
 def charged_recorder(charges_by_inst, seed=0, cap_eps=10.0):
@@ -175,7 +175,8 @@ NON_CANONICAL_FILES = [
     pytest.param("policy", replace_line(1, lambda l: l.replace("=", " = ")),
                  id="policy-spaced-equals"),
     pytest.param("policy", replace_line(1, lambda l: l + "0"), id="policy-float-respelled"),
-    pytest.param("policy", lambda t: t + "max_rounds=100\n", id="policy-repeated-key"),
+    pytest.param("policy", lambda t: t + "allowed_regions=eu-west,us-east\n",
+                 id="policy-repeated-key"),
 ]
 
 READERS = {"chain": AuditChain, "proof": ComplianceProof, "policy": PolicySpec}
@@ -623,20 +624,22 @@ class TestPolicyFile:
     def test_region_with_final_newline_refused(self):
         # the reader would refuse the policy file this spec wrote, at line 5
         with pytest.raises(ConfigurationError):
-            PolicySpec(1.0, 0.0, frozenset({"eu-west\n"}), 10)
+            PolicySpec(1.0, 0.0, frozenset({"eu-west\n"}))
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "p.policy"
-        path.write_text("privfed-policy/1\nmax_rounds=5\n")
+        path.write_text("privfed-policy/2\nallowed_regions=us-east\n")
         with pytest.raises(ChainFormatError):
             PolicySpec.read(path)
 
     @pytest.mark.parametrize("edit, line_no", [
-        (lambda ls: ls[:4] + ["max_rounds=x"], 5),
-        (lambda ls: ls[:4], 5),  # no max_rounds line: named where it belongs
+        (lambda ls: ls + ["max_rounds=1000"], 5),  # the line policy/1 files ended in
+        (lambda ls: ls[:3], 4),  # no allowed_regions line: named where it belongs
         (lambda ls: ls[:1] + ["max_epsilon_per_institution=abc"] + ls[2:], 2),
         (lambda ls: ls[:3] + ["allowed_regions=us east"] + ls[4:], 4),
-    ], ids=["unparsed-rounds", "missing-rounds", "unparsed-epsilon", "bad-region"])
+        (lambda ls: ["privfed-policy/1"] + ls[1:], 1),
+    ], ids=["line-past-regions", "missing-regions", "unparsed-epsilon", "bad-region",
+            "version-1-header"])
     def test_bad_value_names_its_line(self, edit, line_no):
         lines = edit(policy(cap=3.5, floor=0.25).to_lines())
         with pytest.raises(ChainFormatError, match=f"^line {line_no}: ") as refused:

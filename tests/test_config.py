@@ -25,15 +25,13 @@ class TestCanonicalForm:
     def test_every_field_round_trips_at_a_non_default_value(self):
         values = dict(
             task_kind="regression", task_feature_dim=3, task_num_samples=90,
-            task_noise=0.25, institutions_count=3, institutions_partition="label-skew",
+            institutions_count=3, institutions_partition="label-skew",
             institutions_sizes=(40, 30, 20), rounds=3, local_epochs=7, lr=0.75,
             dp_enabled=False, dp_epsilon=2.5, dp_delta=1e-5, dp_clip_norm=1.25,
-            agg_mode="plain", network_latency_ms=5.5, network_jitter_ms=0.5,
-            network_drop_probability=0.125, governance_enabled=True,
-            governance_alpha=0.5, governance_beta=3.0, governance_gamma=0.9,
-            governance_episodes=7, attack_enabled=True, attack_shadows=2,
-            attack_probes=50, policy_max_epsilon=6.0, policy_min_sigma_floor=0.1,
-            policy_allowed_regions=("eu-west",), policy_max_rounds=9, seed=77,
+            agg_mode="plain", network_latency_ms=5.5, network_drop_probability=0.125,
+            governance_enabled=True, governance_episodes=7, attack_enabled=True,
+            policy_max_epsilon=6.0, policy_min_sigma_floor=0.1,
+            policy_allowed_regions=("eu-west",), seed=77,
         )
         fields = dataclasses.fields(ExperimentConfig)
         assert set(values) == {f.name for f in fields}
@@ -107,20 +105,30 @@ class TestValidation:
             parse_config_text("myst.key=1\n")
         assert "unknown key" in exc.value.errors[0]
 
+    @pytest.mark.parametrize("text", ["dp.epsilon=4\nseed=1\ndp_epsilon=40\n",
+                                      "dp.epsilon=4\nseed=1\ndp.epsilon=4\n"])
+    def test_key_set_twice_rejected(self, text):
+        # either spelling names the one field; a second line must not win
+        with pytest.raises(ConfigValidationError) as exc:
+            parse_config_text(text)
+        assert exc.value.errors == ["line 3: 'dp.epsilon' already set at line 1"]
+
     def test_bad_value_rejected_with_line(self):
         with pytest.raises(ConfigValidationError) as exc:
             parse_config_text("rounds=three\n")
         assert "line 1" in exc.value.errors[0]
 
     def test_rounds_cannot_exceed_policy(self):
-        cfg = dataclasses.replace(ExperimentConfig(), rounds=50, policy_max_rounds=10)
-        with pytest.raises(ConfigValidationError):
+        # refused before the sigma check calibrates one budget per round
+        cfg = dataclasses.replace(ExperimentConfig(), rounds=1001)
+        with pytest.raises(ConfigValidationError) as exc:
             cfg.validate()
+        assert exc.value.errors == ["rounds: must be <= 1000"]
 
     @pytest.mark.parametrize("key,value", [
         ("dp.epsilon", "inf"), ("lr", "nan"), ("dp.clip_norm", "inf"),
-        ("network.latency_ms", "inf"), ("governance.alpha", "nan"),
-        ("task.noise", "nan"), ("dp.epsilon", "-inf"),
+        ("network.latency_ms", "inf"), ("dp.delta", "nan"),
+        ("policy.min_sigma_floor", "nan"), ("dp.epsilon", "-inf"),
     ])
     def test_non_finite_numbers_rejected(self, key, value):
         with pytest.raises(ConfigValidationError) as exc:

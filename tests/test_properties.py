@@ -60,7 +60,7 @@ def written_files() -> dict[str, bytes]:
         recorder.record_region_transfer(i, "c", "us-east")
     proof = prove_compliance(recorder, "a", CLAIM_REGION)
     absence = prove_compliance(recorder, "b", CLAIM_REGION)
-    policy = PolicySpec(1.0, 0.5, frozenset({"us-east"}), 3)
+    policy = PolicySpec(1.0, 0.5, frozenset({"us-east"}))
     ledger = AccountantLedger("a", PrivacyBudget(1.0, 0.5))
     for i in range(3):
         ledger.charge(i, PrivacyBudget(0.25, 1e-3), NoiseScale(1.5, 1.0, i == 1))
@@ -170,7 +170,7 @@ def test_proof_verdict_matches_the_full_chain(records, institution, claim, cap, 
             recorder.record_region_transfer(r, inst, region)
         if seal:
             recorder.chain.seal()
-    policy = PolicySpec(cap, floor, frozenset({"us-east", "eu-west"}), 100)
+    policy = PolicySpec(cap, floor, frozenset({"us-east", "eu-west"}))
     proof = prove_compliance(recorder, institution, claim)
     assert recorder.chain.verify()
     expected = expected_verdict(recorder, institution, claim, policy)
