@@ -28,7 +28,6 @@ from .compliance import (
     ComplianceProof,
     PolicySpec,
     Verdict,
-    audit_verdict,
     prove_budget_compliance,
     prove_compliance,
     verify_proof,

@@ -25,11 +25,16 @@ command exits 6, with one ``numeric failure:`` line and no numpy warning,
 on training that diverged to non-finite weights, an update outside secure
 aggregation's fixed-point range (an encoding that overflows to inf included),
 or an overflowed simulated clock.
+
+``main`` may be called many times in one process, as an auditor checking
+proof after proof does. It builds its argument parser on the first call and
+reuses it, so a later call prints and exits exactly as a first one would.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -190,7 +195,10 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``privfed`` parser, built on the first call and then reused:
+    each ``parse_args`` makes a fresh namespace from the defaults."""
     parser = argparse.ArgumentParser(
         prog="privfed",
         description="deterministic privacy-preserving federated learning simulator",

@@ -751,12 +751,20 @@ def _proves_absent(key: tuple[str, str], leaves: tuple[TableLeaf, ...],
     return False
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number that is not NaN or infinite (an int is always finite)."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
 def verify_proof(proof: ComplianceProof, trusted_head: bytes,
                  policy: PolicySpec) -> Verdict:
     """Recompute everything from the proof alone plus the trusted head.
 
     INVALID on any hash, coverage, or aggregate inconsistency; otherwise the
     claim's predicate against the policy decides compliant/non-compliant.
+    The budget claim covers the sigma floor too: it is compliant iff the total
+    epsilon is within the cap and every opened row's sigma is at or above the
+    floor, and a row without a finite numeric sigma makes the proof INVALID.
     """
     # 1. the seal re-hashes to the trusted head
     seal = proof.seal
@@ -810,8 +818,11 @@ def verify_proof(proof: ComplianceProof, trusted_head: bytes,
 
     # 7. the claim's predicate against the policy
     if proof.claim == CLAIM_BUDGET:
-        total = float(proof.aggregate)
-        ok = total <= policy.max_epsilon_per_institution
+        sigmas = [p.get("sigma") for p in payloads]
+        if not all(_is_finite_number(sigma) for sigma in sigmas):
+            return Verdict.INVALID
+        ok = (float(proof.aggregate) <= policy.max_epsilon_per_institution
+              and all(sigma >= policy.min_sigma_floor for sigma in sigmas))
     elif proof.claim == CLAIM_SIGMA:
         ok = float(proof.aggregate) >= policy.min_sigma_floor
     else:
@@ -819,19 +830,3 @@ def verify_proof(proof: ComplianceProof, trusted_head: bytes,
         ok = regions <= policy.allowed_regions
     return Verdict.COMPLIANT if ok else Verdict.NON_COMPLIANT
 
-
-def audit_verdict(chain_text: str | bytes, proof_text: str | bytes,
-                  policy: PolicySpec) -> Verdict:
-    """File-level verification: any parse or hash failure is INVALID.
-
-    The trusted head is taken from the auditor's copy of the chain after the
-    chain itself verifies.
-    """
-    try:
-        chain = AuditChain.parse_lines(split_record_lines(chain_text))
-        proof = ComplianceProof.parse_lines(split_record_lines(proof_text))
-    except (ChainFormatError, UnicodeDecodeError):
-        return Verdict.INVALID
-    if not chain.verify():
-        return Verdict.INVALID
-    return verify_proof(proof, chain.head_hash, policy)

@@ -20,6 +20,9 @@ from privfed.compliance import (
     ComplianceProof,
     PolicySpec,
     TableLeaf,
+    Verdict,
+    split_record_lines,
+    verify_proof,
 )
 from privfed.errors import ChainFormatError, ConfigurationError
 from privfed.governance import (
@@ -354,3 +357,20 @@ def reference_read_policy(lines: list[str]) -> PolicySpec:
     if spec.to_lines() != lines:
         raise ChainFormatError("policy file is not in its written form")
     return spec
+
+
+def audit_verdict(chain_text: str | bytes, proof_text: str | bytes,
+                  policy: PolicySpec) -> Verdict:
+    """File-level verification: any parse or hash failure is INVALID.
+
+    The trusted head is taken from the auditor's copy of the chain after the
+    chain itself verifies.
+    """
+    try:
+        chain = AuditChain.parse_lines(split_record_lines(chain_text))
+        proof = ComplianceProof.parse_lines(split_record_lines(proof_text))
+    except (ChainFormatError, UnicodeDecodeError):
+        return Verdict.INVALID
+    if not chain.verify():
+        return Verdict.INVALID
+    return verify_proof(proof, chain.head_hash, policy)

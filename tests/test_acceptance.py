@@ -18,7 +18,6 @@ from privfed.compliance import (
     ComplianceProof,
     PolicySpec,
     Verdict,
-    audit_verdict,
     prove_budget_compliance,
     split_record_lines,
     verify_proof,
@@ -48,7 +47,7 @@ from privfed.governance import (
 from privfed.tasks import SyntheticTask, generate_task, sample_dataset
 from privfed.wire import ClientUpdate
 
-from support import TinyMdp, report_body_lines
+from support import TinyMdp, audit_verdict, report_body_lines
 
 
 def report(name: str, detail: str):

@@ -1,14 +1,15 @@
 import builtins
 import hashlib
+import shutil
 from pathlib import Path
 
 import pytest
 
-from privfed.cli import main
-from privfed.compliance import PolicySpec, Verdict, audit_verdict
+from privfed.cli import build_parser, main
+from privfed.compliance import PolicySpec, Verdict
 from privfed.config import ExperimentConfig, canonical_text
 
-from support import report_body_lines
+from support import audit_verdict, report_body_lines
 
 
 def cfg_file(tmp_path, **overrides) -> Path:
@@ -467,3 +468,63 @@ def test_bad_config_input_exits_2_without_traceback(tmp_path, monkeypatch, capsy
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_main_called_again_prints_and_exits_as_a_fresh_call(tmp_path, monkeypatch, capsys):
+    # one process calling main over and over, as an auditor does, against
+    # the same calls each given a newly built parser
+    config = str(cfg_file(tmp_path))
+    audit = tmp_path / "audit"
+    assert main(["run", "--config", config, "--out", str(audit)]) == 0
+    text = (audit / "inst00.budget.proof").read_text()
+    i = text.index("chain_head=") + len("chain_head=")
+    tampered = tmp_path / "tampered.proof"
+    tampered.write_text(text[:i] + ("0" if text[i] != "0" else "1") + text[i + 1:])
+    lines = (audit / "audit.chain").read_text().split("\n")
+    lines[2] = "zzz"
+    mangled = tmp_path / "mangled.chain"
+    mangled.write_text("\n".join(lines))
+    records = str(audit / "report.records")
+
+    def verify(chain, proof):
+        return ["verify-audit", "--chain", str(chain), "--proof", str(proof),
+                "--policy", str(audit / "audit.policy")]
+
+    calls = [
+        verify(audit / "audit.chain", audit / "inst00.budget.proof"),
+        verify(audit / "audit.chain", tampered),
+        verify(mangled, audit / "inst00.budget.proof"),
+        ["run", "--config", config, "--seed", "5", "--out", "seed5"],
+        ["run", "--config", config, "--out", "config-seed"],
+        ["report", "--records", records, "--out", "table"],
+        ["report", "--records", records],
+        ["verify-audit", "--chain", str(mangled)],
+    ]
+
+    def session(name, fresh_parser_each_call):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        capsys.readouterr()
+        build_parser.cache_clear()
+        results = []
+        for argv in calls:
+            if fresh_parser_each_call:
+                build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            written = sorted(p.as_posix() for p in Path().rglob("*"))
+            shutil.rmtree("table", ignore_errors=True)  # so a leaked --out would show
+            results.append((code, out, err, written))
+        return results
+
+    fresh = session("fresh", True)
+    reused = session("reused", False)
+    assert build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, *_ in reused] == [0, 2, 3, 0, 0, 0, 0, 2]
+    assert "table/report.txt" in reused[5][3] and "table" not in reused[6][3]
+    assert '"seed": 5' in (tmp_path / "reused" / "seed5" / "report.records").read_text()
+    assert '"seed": 3' in (tmp_path / "reused" / "config-seed" / "report.records").read_text()

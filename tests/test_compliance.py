@@ -22,7 +22,6 @@ from privfed.compliance import (
     _node_hash,
     _path_root,
     _table_commitment,
-    audit_verdict,
     canonical_payload,
     prove_budget_compliance,
     prove_compliance,
@@ -37,6 +36,8 @@ from privfed.errors import (
     ProvabilityError,
 )
 from privfed.seeding import salt_for
+
+from support import audit_verdict
 
 
 def policy(cap=2.0, floor=0.0, regions=("us-east", "eu-west")):
@@ -336,6 +337,26 @@ class TestProofs:
                             policy(floor=0.5)) is Verdict.COMPLIANT
         assert verify_proof(proof, recorder.chain.head_hash,
                             policy(floor=1.5)) is Verdict.NON_COMPLIANT
+
+    def test_budget_claim_covers_the_sigma_floor(self):
+        recorder, ledgers = charged_recorder({"a": [0.5, 0.5]})  # sigma 1.0
+        proof = prove_budget_compliance(recorder, ledgers["a"])
+        head = recorder.chain.head_hash
+        assert verify_proof(proof, head, policy(floor=1.0)) is Verdict.COMPLIANT
+        assert verify_proof(proof, head, policy(floor=1.5)) is Verdict.NON_COMPLIANT
+        # an institution with no charges meets any floor
+        empty = prove_compliance(recorder, "b", CLAIM_BUDGET)
+        assert verify_proof(empty, head, policy(floor=4.0)) is Verdict.COMPLIANT
+
+    @pytest.mark.parametrize("sigma", [{}, {"sigma": None}, {"sigma": "1.0"},
+                                       {"sigma": True}, {"sigma": float("nan")},
+                                       {"sigma": float("inf")}],
+                             ids=["missing", "null", "string", "bool", "nan", "inf"])
+    def test_budget_row_without_a_finite_sigma_is_invalid(self, sigma):
+        recorder = AuditRecorder(seed=0)
+        recorder._append(0, "a", "budget-charge", {"institution": "a", "epsilon": 0.5, **sigma})
+        proof = prove_compliance(recorder, "a", CLAIM_BUDGET)
+        assert verify_proof(proof, recorder.chain.head_hash, policy()) is Verdict.INVALID
 
     def test_stricter_policy_flips_verdict_not_validity(self):
         recorder, ledgers = charged_recorder({"a": [0.8, 0.8]})
@@ -645,6 +666,22 @@ class TestPolicyFile:
         with pytest.raises(ChainFormatError, match=f"^line {line_no}: ") as refused:
             PolicySpec.parse_lines(lines)
         assert refused.value.line_no == line_no
+
+
+def test_verify_audit_exits_1_on_a_charge_below_the_sigma_floor(tmp_path, capsys):
+    # within the cap, but noised at sigma 0.01 under a floor of 0.5
+    recorder = AuditRecorder(seed=0)
+    ledger = AccountantLedger("a", PrivacyBudget(10.0, 0.9))
+    entry = ledger.charge(0, PrivacyBudget(0.5, 1e-6), NoiseScale(0.01, 1.0))
+    recorder.record_budget_charge(0, "a", entry)
+    proof = prove_budget_compliance(recorder, ledger)  # seals the chain
+    for name, record_file in (("proof", proof), ("chain", recorder.chain),
+                              ("policy", policy(floor=0.5))):
+        record_file.write(tmp_path / name)
+    assert main(["verify-audit", "--chain", str(tmp_path / "chain"),
+                 "--proof", str(tmp_path / "proof"),
+                 "--policy", str(tmp_path / "policy")]) == 1
+    assert capsys.readouterr().out.startswith("verdict: non-compliant (claim=budget-within-cap")
 
 
 def test_verify_proof_under_20ms_on_1000_entry_chain():

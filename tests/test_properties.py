@@ -27,7 +27,6 @@ from privfed.compliance import (
     ComplianceProof,
     PolicySpec,
     Verdict,
-    audit_verdict,
     canonical_payload,
     prove_compliance,
     split_record_lines,
@@ -40,6 +39,7 @@ from privfed.seeding import rng_for, salt_for
 from privfed.tasks import TASK_KINDS, SyntheticTask, generate_task
 
 from support import (
+    audit_verdict,
     reference_local_train,
     reference_read_chain,
     reference_read_policy,
@@ -148,7 +148,8 @@ def expected_verdict(recorder, institution: str, claim: str, policy) -> Verdict:
         total = 0.0
         for p in payloads:
             total += p["epsilon"]
-        ok = total <= policy.max_epsilon_per_institution
+        ok = (total <= policy.max_epsilon_per_institution
+              and all(p["sigma"] >= policy.min_sigma_floor for p in payloads))
     elif claim == CLAIM_SIGMA:
         ok = min((p["sigma"] for p in payloads), default=float("inf")) >= policy.min_sigma_floor
     else:
@@ -181,6 +182,28 @@ def test_proof_verdict_matches_the_full_chain(records, institution, claim, cap, 
     assert ComplianceProof.parse_lines(lines).to_lines() == lines
     chain_text = "\n".join(recorder.chain.to_lines()) + "\n"
     assert audit_verdict(chain_text, "\n".join(lines) + "\n", policy) is expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(1e-3, 2.0), st.floats(1e-3, 4.0)), max_size=8),
+       st.floats(0.5, 6.0), st.floats(0.0, 4.0))
+@example([(0.5, 0.01)], 2.0, 0.5)
+def test_budget_verdict_is_cap_and_floor(rows, cap, floor):
+    """Every (epsilon, sigma) row drawn apart: compliant iff the total is
+    within the cap and every sigma is at or above the floor."""
+    recorder = AuditRecorder(seed=0)
+    for r, (epsilon, sigma) in enumerate(rows):
+        recorder.record_budget_charge(r, "a", SimpleNamespace(
+            round_index=r, epsilon_spent=epsilon, delta_spent=1e-6, sigma=sigma,
+            clip_norm=1.0, heuristic_regime=False))
+    proof = prove_compliance(recorder, "a", CLAIM_BUDGET)
+    total = 0.0
+    for epsilon, _ in rows:
+        total += epsilon
+    ok = total <= cap and all(sigma >= floor for _, sigma in rows)
+    policy = PolicySpec(cap, floor, frozenset({"us-east"}))
+    assert verify_proof(proof, recorder.chain.head_hash, policy) is (
+        Verdict.COMPLIANT if ok else Verdict.NON_COMPLIANT)
 
 
 # line-level respellings of a written file: none of them is the writer's
