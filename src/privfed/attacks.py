@@ -243,6 +243,8 @@ OVERFIT_FEATURE_DIM = 24
 OVERFIT_TRAIN_SIZE = 30
 OVERFIT_POOL = 4000
 OVERFIT_SHADOWS = 6
+# the noise multiplier of the study's strong-DP arm
+STRONG_SIGMA = 1.2
 
 
 def overfit_recipe(dp_scale: NoiseScale | None = None) -> TrainingRecipe:

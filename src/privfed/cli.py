@@ -12,7 +12,7 @@ Exit codes: run distinguishes success (0), budget exhaustion (4), and round
 failure (5); config validation problems (an unreadable config file, an
 unknown key, a field set on two lines, more than 1000 rounds, non-finite
 numbers and a sigma floor above the calibrated sigma included),
-counts below 1 (``--episodes``, ``--pairs``, ``--seeds``), a bad ``--grid``
+counts below 1 (``--pairs``, ``--seeds``, ``governance.episodes``), a bad ``--grid``
 epsilon, one whose sigma is below the floor, and two ``--grid`` tokens
 naming one setting exit 2 after listing every violated field; an output
 path that cannot be written (``--out`` naming a file) exits 2 with one
@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import overfit_study, untrained_study
+from .attacks import STRONG_SIGMA, overfit_study, untrained_study
 from .compliance import (
     AuditChain,
     ComplianceProof,
@@ -108,7 +108,7 @@ def cmd_attack(args) -> int:
     if args.pairs < 1:
         raise ConfigValidationError(["--pairs: must be >= 1"])
     base_seed = args.seed if args.seed is not None else 0
-    strong = NoiseScale(args.strong_sigma, 1.0)
+    strong = NoiseScale(STRONG_SIGMA, 1.0)
     rows = []
     for pair in range(args.pairs):
         seed = derive_seed(base_seed, "attack-pair", pair)
@@ -136,10 +136,10 @@ def cmd_attack(args) -> int:
 
 
 def cmd_govern_train(args) -> int:
-    if args.episodes is not None and args.episodes < 1:
-        raise ConfigValidationError(["--episodes: must be >= 1"])
     config = _load_config(args)
-    episodes = config.governance_episodes if args.episodes is None else args.episodes
+    episodes = config.governance_episodes
+    if episodes < 1:
+        raise ConfigValidationError(["governance.episodes: must be >= 1"])
     report = ExperimentReport(config_hash=config_hash(config), seed=config.seed,
                               status="completed")
     run_governance(config, episodes, report)
@@ -224,12 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack = sub.add_parser("attack", help="overfit membership-inference study")
     common(p_attack)
     p_attack.add_argument("--pairs", type=int, default=10)
-    p_attack.add_argument("--strong-sigma", type=float, default=1.2)
     p_attack.set_defaults(func=cmd_attack)
 
     p_gov = sub.add_parser("govern-train", help="train the governance controller")
     common(p_gov)
-    p_gov.add_argument("--episodes", type=int, default=None)
     p_gov.set_defaults(func=cmd_govern_train)
     for p in (p_run, p_sweep, p_gov):
         p.add_argument("--config", type=str, default=None, help="config file path")

@@ -20,7 +20,7 @@ verifier holding nothing but the trusted head and the policy can check:
     its leaf, whose audit path and table size rebuild the seal's commitment
     (no record of the key was omitted: the leaf fixes the count),
   * every opened (salt, payload) re-hashes to its header's commitment,
-  * the claimed aggregate (total epsilon, minimum sigma, region set)
+  * the claimed aggregate (total epsilon or region set)
     matches a recomputation from the opened payloads.
 
 Disclosure: the auditor learns the audited key's headers and opened values,
@@ -37,6 +37,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -59,12 +60,9 @@ SEAL_KIND = "chain-seal"
 _ENTRY_KINDS = frozenset(RECORD_KINDS + (SEAL_KIND,))
 
 CLAIM_BUDGET = "budget-within-cap"
-CLAIM_SIGMA = "sigma-above-floor"
 CLAIM_REGION = "region-compliant"
-CLAIMS = (CLAIM_BUDGET, CLAIM_SIGMA, CLAIM_REGION)
-_CLAIM_KIND = {CLAIM_BUDGET: "budget-charge",
-               CLAIM_SIGMA: "budget-charge",
-               CLAIM_REGION: "region-transfer"}
+CLAIMS = (CLAIM_BUDGET, CLAIM_REGION)
+_CLAIM_KIND = {CLAIM_BUDGET: "budget-charge", CLAIM_REGION: "region-transfer"}
 
 _IDENT = re.compile(r"[A-Za-z0-9._-]+")  # always fullmatch
 # a proof's aggregate: a float's repr, a comma list of regions, or "-"
@@ -667,13 +665,13 @@ class ComplianceProof(RecordFile):
 def _compute_aggregate(claim: str, payloads: list[dict]) -> str:
     if claim == CLAIM_BUDGET:
         total = 0.0
-        for p in payloads:
-            total += float(p["epsilon"])
+        for p in payloads:  # a row without a finite numeric epsilon sums to NaN,
+            # so the proof is still written and verify_proof refuses it
+            epsilon = p.get("epsilon")
+            total += epsilon if _is_finite_number(epsilon) else math.nan
         return repr(total)
-    if claim == CLAIM_SIGMA:
-        return repr(min((float(p["sigma"]) for p in payloads), default=float("inf")))
     if claim == CLAIM_REGION:
-        return ",".join(sorted({str(p["region"]) for p in payloads})) or "-"
+        return ",".join(sorted({str(p.get("region")) for p in payloads})) or "-"
     raise ConfigurationError(f"unknown claim {claim!r}")
 
 
@@ -752,8 +750,9 @@ def _proves_absent(key: tuple[str, str], leaves: tuple[TableLeaf, ...],
 
 
 def _is_finite_number(value) -> bool:
-    """A JSON number that is not NaN or infinite (an int is always finite)."""
-    return type(value) is int or (type(value) is float and math.isfinite(value))
+    """A JSON number a float holds: not a bool, NaN, infinite or an integer
+    beyond the float range."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def verify_proof(proof: ComplianceProof, trusted_head: bytes,
@@ -764,7 +763,8 @@ def verify_proof(proof: ComplianceProof, trusted_head: bytes,
     claim's predicate against the policy decides compliant/non-compliant.
     The budget claim covers the sigma floor too: it is compliant iff the total
     epsilon is within the cap and every opened row's sigma is at or above the
-    floor, and a row without a finite numeric sigma makes the proof INVALID.
+    floor. A budget row without a finite numeric epsilon and sigma, or a
+    region row whose region is not a string, makes the proof INVALID.
     """
     # 1. the seal re-hashes to the trusted head
     seal = proof.seal
@@ -809,22 +809,18 @@ def verify_proof(proof: ComplianceProof, trusted_head: bytes,
         payloads.append(payload)
 
     # 6. aggregate recomputation must match the stated aggregate
-    try:
-        recomputed = _compute_aggregate(proof.claim, payloads)
-    except (KeyError, ValueError, TypeError):
-        return Verdict.INVALID
-    if recomputed != proof.aggregate:
+    if _compute_aggregate(proof.claim, payloads) != proof.aggregate:
         return Verdict.INVALID
 
     # 7. the claim's predicate against the policy
     if proof.claim == CLAIM_BUDGET:
-        sigmas = [p.get("sigma") for p in payloads]
-        if not all(_is_finite_number(sigma) for sigma in sigmas):
+        if not all(_is_finite_number(p.get(field)) for p in payloads
+                   for field in ("epsilon", "sigma")):
             return Verdict.INVALID
         ok = (float(proof.aggregate) <= policy.max_epsilon_per_institution
-              and all(sigma >= policy.min_sigma_floor for sigma in sigmas))
-    elif proof.claim == CLAIM_SIGMA:
-        ok = float(proof.aggregate) >= policy.min_sigma_floor
+              and all(p["sigma"] >= policy.min_sigma_floor for p in payloads))
+    elif not all(type(p.get("region")) is str for p in payloads):
+        return Verdict.INVALID
     else:
         regions = set() if proof.aggregate == "-" else set(proof.aggregate.split(","))
         ok = regions <= policy.allowed_regions

@@ -45,6 +45,8 @@ from .wire import (
 
 AGG_PLAIN = "plain"
 AGG_SECURE = "secure"
+# every link leg adds a seed-drawn delay, uniform in [0, JITTER_MS)
+JITTER_MS = 2.0
 
 
 @dataclass(frozen=True)
@@ -52,13 +54,12 @@ class NetworkConfig:
     """Per-link latency model and dropout probability for the simulated network."""
 
     latency_ms: float = 10.0
-    jitter_ms: float = 2.0
     drop_probability: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.latency_ms < 0 or self.jitter_ms < 0:
-            raise ConfigurationError("latency and jitter must be >= 0")
+        if self.latency_ms < 0:
+            raise ConfigurationError("latency must be >= 0")
         if not (0.0 <= self.drop_probability < 1.0):
             raise ConfigurationError("drop_probability must lie in [0, 1)")
 
@@ -206,11 +207,8 @@ class Federation:
     # ------------------------------------------------------------------
 
     def _link_latency(self, round_index: int, institution_id: str, leg: str) -> float:
-        jitter = 0.0
-        if self.net.jitter_ms > 0:
-            u = rng_for(self.net.seed, "jitter", round_index, institution_id, leg).random()
-            jitter = self.net.jitter_ms * u
-        return self.net.latency_ms + jitter
+        u = rng_for(self.net.seed, "jitter", round_index, institution_id, leg).random()
+        return self.net.latency_ms + JITTER_MS * u
 
     def dropped_for_round(self, round_index: int) -> frozenset[str]:
         """Dropouts are a deterministic function of (net.seed, round_index, id)."""

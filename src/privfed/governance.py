@@ -143,7 +143,6 @@ class GovernancePolicy:
 
     actions: tuple = GOVERNANCE_ACTIONS
     q_values: dict = field(default_factory=dict)
-    fixed_action: GovernanceAction | None = None
 
     def q(self, bucket) -> np.ndarray:
         values = self.q_values.get(bucket)
@@ -153,8 +152,6 @@ class GovernancePolicy:
         return values
 
     def greedy_index(self, bucket) -> int:
-        if self.fixed_action is not None:
-            return self.actions.index(self.fixed_action)
         values = self.q_values.get(bucket)
         if values is None:
             return 0  # unvisited bucket stays at the initialization value
@@ -166,8 +163,8 @@ class GovernancePolicy:
 
 def static_baseline_policy() -> GovernancePolicy:
     """The constant no-op policy: hold the scenario's starting mid-tier
-    configuration forever."""
-    return GovernancePolicy(fixed_action=GovernanceAction.NO_OP)
+    configuration forever: its one action is every bucket's greedy choice."""
+    return GovernancePolicy(actions=(GovernanceAction.NO_OP,))
 
 
 @dataclass

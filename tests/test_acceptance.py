@@ -98,8 +98,7 @@ def test_criterion_2_secure_aggregation_equivalence_and_overhead():
         datasets = generate_task(task, n_inst, sizes=sizes)
         eval_data = sample_dataset(task, 50, "eval")
         data = {d.institution_id: d for d in datasets}
-        net = NetworkConfig(latency_ms=10, jitter_ms=2, drop_probability=0.0,
-                            seed=round_seed)
+        net = NetworkConfig(latency_ms=10, drop_probability=0.0, seed=round_seed)
         model = np.zeros(task.model_dim)
         plain = Federation(data, eval_data, net, session_seed=round_seed).run_round(
             model, 0, 2, 0.8, agg_mode="plain")
@@ -115,7 +114,7 @@ def test_criterion_2_secure_aggregation_equivalence_and_overhead():
     datasets = generate_task(task, 20, sizes=sizes)
     eval_data = sample_dataset(task, 100, "eval")
     data = {d.institution_id: d for d in datasets}
-    net = NetworkConfig(latency_ms=10, jitter_ms=2, drop_probability=0.0, seed=1)
+    net = NetworkConfig(latency_ms=10, drop_probability=0.0, seed=1)
     times = {}
     for mode in ("plain", "secure"):
         fed = Federation(data, eval_data, net, session_seed=1)

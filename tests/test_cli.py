@@ -163,6 +163,18 @@ class TestVerifyAudit:
                      "--policy", str(edited)]) == 3
         assert f"line {line_no}" in capsys.readouterr().err
 
+    def test_sigma_claim_is_unparseable_exits_three(self, artifacts, tmp_path, capsys):
+        # the budget claim covers the sigma floor, so no other claim names it
+        lines = artifacts["proof"].read_text().split("\n")
+        assert lines[1].startswith("claim=budget-within-cap ")
+        lines[1] = lines[1].replace("claim=budget-within-cap", "claim=sigma-above-floor")
+        edited = tmp_path / "sigma.proof"
+        edited.write_text("\n".join(lines))
+        assert main(["verify-audit", "--chain", str(artifacts["chain"]),
+                     "--proof", str(edited),
+                     "--policy", str(artifacts["policy"])]) == 3
+        assert "line 2" in capsys.readouterr().err
+
     def test_leading_zero_sequence_exits_three(self, artifacts, tmp_path, capsys):
         # "0" before the first entry's sequence number: same value, other bytes
         header, rest = artifacts["chain"].read_text().split("\n", 1)
@@ -250,9 +262,9 @@ class TestSweepAndReport:
 
 def test_govern_train_smoke(tmp_path, capsys):
     config = cfg_file(tmp_path, governance_enabled=True, governance_episodes=5)
-    assert main(["govern-train", "--config", str(config), "--episodes", "5",
+    assert main(["govern-train", "--config", str(config),
                  "--out", str(tmp_path / "out")]) == 0
-    assert "violations" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith("episodes=5 violations")
     assert (tmp_path / "out" / "report.records").exists()
     assert (tmp_path / "out" / "report.txt").exists()
 
@@ -273,11 +285,26 @@ def test_govern_train_and_run_write_one_governance_block(tmp_path):
 
 
 def test_govern_train_zero_episodes_exits_2(tmp_path, capsys):
-    config = cfg_file(tmp_path, governance_enabled=True, governance_episodes=5)
-    assert main(["govern-train", "--config", str(config), "--episodes", "0",
+    # govern-train trains whether or not the config enables governance in runs
+    config = cfg_file(tmp_path, governance_enabled=False, governance_episodes=0)
+    assert main(["govern-train", "--config", str(config),
                  "--out", str(tmp_path / "out")]) == 2
-    assert "--episodes" in capsys.readouterr().err
+    assert "governance.episodes: must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.records").exists()
+
+
+@pytest.mark.parametrize("argv", [["attack", "--strong-sigma", "1", "--pairs", "1"],
+                                  ["govern-train", "--episodes", "3"]],
+                         ids=["attack-strong-sigma", "govern-train-episodes"])
+def test_removed_flags_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    # the strong sigma is a constant and the episode count a config key
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_attack_zero_pairs_exits_2(tmp_path, capsys):

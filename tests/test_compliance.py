@@ -8,7 +8,6 @@ from privfed.compliance import (
     CHAIN_HEADER,
     CLAIM_BUDGET,
     CLAIM_REGION,
-    CLAIM_SIGMA,
     PROOF_HEADER,
     SEAL_KIND,
     AuditChain,
@@ -331,8 +330,12 @@ class TestProofs:
         assert verify_proof(proof_b, recorder.chain.head_hash, policy()) is Verdict.NON_COMPLIANT
 
     def test_sigma_floor_claim(self):
-        recorder, ledgers = charged_recorder({"a": [0.5, 0.5]})
-        proof = prove_compliance(recorder, "a", CLAIM_SIGMA)
+        # the budget claim's smallest opened sigma decides the floor
+        recorder = AuditRecorder(seed=0)
+        for r, sigma in enumerate([2.0, 0.5]):
+            recorder._append(r, "a", "budget-charge",
+                             {"institution": "a", "epsilon": 0.5, "sigma": sigma})
+        proof = prove_compliance(recorder, "a", CLAIM_BUDGET)
         assert verify_proof(proof, recorder.chain.head_hash,
                             policy(floor=0.5)) is Verdict.COMPLIANT
         assert verify_proof(proof, recorder.chain.head_hash,
@@ -348,15 +351,30 @@ class TestProofs:
         empty = prove_compliance(recorder, "b", CLAIM_BUDGET)
         assert verify_proof(empty, head, policy(floor=4.0)) is Verdict.COMPLIANT
 
-    @pytest.mark.parametrize("sigma", [{}, {"sigma": None}, {"sigma": "1.0"},
-                                       {"sigma": True}, {"sigma": float("nan")},
-                                       {"sigma": float("inf")}],
-                             ids=["missing", "null", "string", "bool", "nan", "inf"])
-    def test_budget_row_without_a_finite_sigma_is_invalid(self, sigma):
+    @pytest.mark.parametrize("claim,row", [
+        *((CLAIM_BUDGET, row) for row in [
+            {"epsilon": 0.5}, {"epsilon": 0.5, "sigma": None}, {"epsilon": 0.5, "sigma": "1.0"},
+            {"epsilon": 0.5, "sigma": True}, {"epsilon": 0.5, "sigma": float("nan")},
+            {"epsilon": 0.5, "sigma": float("inf")}, {"epsilon": 0.5, "sigma": 10**400},
+            {"sigma": 1.0}, {"epsilon": None, "sigma": 1.0}, {"epsilon": "0.5", "sigma": 1.0},
+            {"epsilon": True, "sigma": 1.0}, {"epsilon": float("nan"), "sigma": 1.0},
+            {"epsilon": float("inf"), "sigma": 1.0}, {"epsilon": 10**400, "sigma": 1.0}]),
+        *((CLAIM_REGION, row) for row in [
+            {}, {"region": None}, {"region": 5}, {"region": ["us-east"]}]),
+    ], ids=["missing", "null", "string", "bool", "nan", "inf", "huge-int",
+            "epsilon-missing", "epsilon-null", "epsilon-string", "epsilon-bool",
+            "epsilon-nan", "epsilon-inf", "epsilon-huge-int",
+            "region-missing", "region-null", "region-number", "region-list"])
+    def test_budget_row_without_a_finite_sigma_is_invalid(self, claim, row):
+        """A budget row whose sigma or epsilon is not a number a float holds,
+        and a region row whose region is not a string."""
         recorder = AuditRecorder(seed=0)
-        recorder._append(0, "a", "budget-charge", {"institution": "a", "epsilon": 0.5, **sigma})
-        proof = prove_compliance(recorder, "a", CLAIM_BUDGET)
-        assert verify_proof(proof, recorder.chain.head_hash, policy()) is Verdict.INVALID
+        kind = "budget-charge" if claim == CLAIM_BUDGET else "region-transfer"
+        recorder._append(0, "a", kind, {"institution": "a", **row})
+        proof = prove_compliance(recorder, "a", claim)
+        # the regions that str() would make of 5 and null are allowed
+        allowed = policy(regions=("us-east", "5", "None"))
+        assert verify_proof(proof, recorder.chain.head_hash, allowed) is Verdict.INVALID
 
     def test_stricter_policy_flips_verdict_not_validity(self):
         recorder, ledgers = charged_recorder({"a": [0.8, 0.8]})
@@ -600,9 +618,11 @@ class TestAbsenceProofs:
 
     def test_absence_on_an_empty_sealed_chain(self):
         recorder = AuditRecorder(seed=0)
-        proof = prove_compliance(recorder, "a", CLAIM_SIGMA)
-        assert proof.leaves == () and proof.aggregate == repr(float("inf"))
-        assert verify_proof(proof, recorder.chain.head_hash, policy()) is Verdict.COMPLIANT
+        proof = prove_compliance(recorder, "a", CLAIM_BUDGET)
+        assert proof.leaves == () and proof.aggregate == repr(0.0)
+        # no charge is below any floor
+        assert verify_proof(proof, recorder.chain.head_hash,
+                            policy(floor=4.0)) is Verdict.COMPLIANT
 
     def test_present_key_cannot_be_proved_absent(self):
         recorder = self.table()

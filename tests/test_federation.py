@@ -30,8 +30,8 @@ def make_federation(num_inst=4, dim=6, total=400, seed=5, sizes=None, **net_kwar
     task = SyntheticTask(CLASSIFICATION, dim, total, noise=0.1, seed=seed)
     datasets = generate_task(task, num_inst, sizes=sizes)
     eval_data = sample_dataset(task, 200, "eval")
-    net = NetworkConfig(**{"latency_ms": 10.0, "jitter_ms": 2.0,
-                           "drop_probability": 0.0, "seed": seed, **net_kwargs})
+    net = NetworkConfig(**{"latency_ms": 10.0, "drop_probability": 0.0, "seed": seed,
+                           **net_kwargs})
     fed = Federation({d.institution_id: d for d in datasets}, eval_data, net,
                      session_seed=seed)
     return task, fed
@@ -197,7 +197,7 @@ class TestRunTraining:
         central = local_train(np.zeros(task.model_dim), pooled, 60, 1.0)
         central_acc = evaluate(central, eval_data).accuracy
 
-        net = NetworkConfig(latency_ms=5, jitter_ms=0, drop_probability=0.0, seed=17)
+        net = NetworkConfig(latency_ms=5, drop_probability=0.0, seed=17)
         fed = Federation({d.institution_id: d for d in datasets}, eval_data, net,
                          session_seed=17)
         run = fed.run_training(np.zeros(task.model_dim), rounds=30,

@@ -130,6 +130,15 @@ class TestBaselinePolicy:
         for bucket in [(0, 0, 0, 0, 0), (3, 3, 3, 3, 3), "anything"]:
             assert policy.greedy(bucket) is GovernanceAction.NO_OP
 
+    def test_no_op_in_a_bucket_whose_q_row_is_set(self):
+        # one action, so the greedy choice of any Q row is that action
+        policy = static_baseline_policy()
+        assert policy.actions == (GovernanceAction.NO_OP,)
+        bucket = (1, 2, 0, 1, 0)
+        policy.q(bucket)[:] = -3.0
+        assert policy.greedy_index(bucket) == 0
+        assert policy.greedy(bucket) is GovernanceAction.NO_OP
+
     def test_baseline_trace_is_uncontrolled_federation(self):
         env = GovernanceEnv(SMALL, WEIGHTS, seed=11)
         baseline = run_policy(env, static_baseline_policy(), episodes=1)

@@ -17,7 +17,6 @@ from privfed.compliance import (
     CHAIN_HEADER,
     CLAIMS,
     CLAIM_BUDGET,
-    CLAIM_SIGMA,
     POLICY_HEADER,
     PROOF_HEADER,
     CLAIM_REGION,
@@ -150,8 +149,6 @@ def expected_verdict(recorder, institution: str, claim: str, policy) -> Verdict:
             total += p["epsilon"]
         ok = (total <= policy.max_epsilon_per_institution
               and all(p["sigma"] >= policy.min_sigma_floor for p in payloads))
-    elif claim == CLAIM_SIGMA:
-        ok = min((p["sigma"] for p in payloads), default=float("inf")) >= policy.min_sigma_floor
     else:
         ok = {p["region"] for p in payloads} <= policy.allowed_regions
     return Verdict.COMPLIANT if ok else Verdict.NON_COMPLIANT
