@@ -29,6 +29,9 @@ or an overflowed simulated clock.
 ``main`` may be called many times in one process, as an auditor checking
 proof after proof does. It builds its argument parser on the first call and
 reuses it, so a later call prints and exits exactly as a first one would.
+``verify-audit`` re-reads the chain file on every call but parses and
+verifies a given chain's bytes only once: it remembers the verified head of
+the last chain bytes it read.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .compliance import (
     ComplianceProof,
     PolicySpec,
     Verdict,
+    split_record_lines,
     verify_proof,
 )
 from .config import ExperimentConfig, config_hash, load_config
@@ -162,18 +166,26 @@ def _input_failure(exc: Exception) -> int:
     return 3
 
 
+@functools.lru_cache(maxsize=1)
+def verified_chain_head(data: bytes) -> bytes | None:
+    """Head hash of the chain file ``data`` if it verifies, else None; a parse
+    error raises. Keyed on the whole bytes, so only the same bytes hit."""
+    chain = AuditChain.parse_lines(split_record_lines(data))
+    return chain.head_hash if chain.verify() else None
+
+
 def cmd_verify_audit(args) -> int:
     """Standalone verification: reads only the chain, proof, and policy files."""
     try:
         policy = PolicySpec.read(args.policy)
-        chain = AuditChain.read(args.chain)
+        head = verified_chain_head(Path(args.chain).read_bytes())
         proof = ComplianceProof.read(args.proof)
     except (ChainFormatError, OSError, UnicodeDecodeError) as exc:
         return _input_failure(exc)
-    if not chain.verify():
+    if head is None:
         print("verdict: invalid (audit chain fails hash verification)")
         return 2
-    verdict = verify_proof(proof, chain.head_hash, policy)
+    verdict = verify_proof(proof, head, policy)
     print(f"verdict: {verdict.value} "
           f"(claim={proof.claim} institution={proof.institution_id} "
           f"aggregate={proof.aggregate})")

@@ -514,6 +514,9 @@ class AuditRecorder:
         return self._append(round_index, institution_id, "budget-charge", payload)
 
     def record_region_transfer(self, round_index: int, institution_id: str, region: str):
+        # one tag per row: the region aggregate joins the tags with commas
+        if not _IDENT.fullmatch(region):
+            raise ProtocolError(f"bad region tag {region!r}")
         payload = {"institution": institution_id, "round": round_index, "region": region}
         return self._append(round_index, institution_id, "region-transfer", payload)
 
@@ -696,7 +699,10 @@ def prove_compliance(recorder: AuditRecorder, institution_id: str, claim: str) -
                 f"stored payload for entry {entry.sequence_no} does not match "
                 "its commitment (tampering or lost salts)")
         opened.append((entry.sequence_no, salt, payload_str))
-        payloads.append(json.loads(payload_str))
+        payload = json.loads(payload_str)
+        if not isinstance(payload, dict):
+            raise ProvabilityError(f"payload of entry {entry.sequence_no} is not a JSON object")
+        payloads.append(payload)
     return ComplianceProof(
         claim=claim,
         institution_id=institution_id,
@@ -763,8 +769,9 @@ def verify_proof(proof: ComplianceProof, trusted_head: bytes,
     claim's predicate against the policy decides compliant/non-compliant.
     The budget claim covers the sigma floor too: it is compliant iff the total
     epsilon is within the cap and every opened row's sigma is at or above the
-    floor. A budget row without a finite numeric epsilon and sigma, or a
-    region row whose region is not a string, makes the proof INVALID.
+    floor. An opened payload that is not a JSON object, a budget row without
+    a finite numeric epsilon and sigma, or a region row whose region is not
+    an identifier string makes the proof INVALID.
     """
     # 1. the seal re-hashes to the trusted head
     seal = proof.seal
@@ -804,7 +811,7 @@ def verify_proof(proof: ComplianceProof, trusted_head: bytes,
             payload = json.loads(payload_str)
         except ValueError:
             return Verdict.INVALID
-        if payload.get("institution") != proof.institution_id:
+        if not isinstance(payload, dict) or payload.get("institution") != proof.institution_id:
             return Verdict.INVALID
         payloads.append(payload)
 
@@ -819,7 +826,8 @@ def verify_proof(proof: ComplianceProof, trusted_head: bytes,
             return Verdict.INVALID
         ok = (float(proof.aggregate) <= policy.max_epsilon_per_institution
               and all(p["sigma"] >= policy.min_sigma_floor for p in payloads))
-    elif not all(type(p.get("region")) is str for p in payloads):
+    elif not all(type(p.get("region")) is str and _IDENT.fullmatch(p["region"])
+                 for p in payloads):
         return Verdict.INVALID
     else:
         regions = set() if proof.aggregate == "-" else set(proof.aggregate.split(","))

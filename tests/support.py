@@ -8,6 +8,7 @@ import numpy as np
 
 from privfed.compliance import (
     _AGGREGATE,
+    _CLAIM_KIND,
     _ENTRY_KINDS,
     _IDENT,
     CHAIN_HEADER,
@@ -17,6 +18,7 @@ from privfed.compliance import (
     PROOF_HEADER,
     AuditChain,
     AuditEntry,
+    AuditRecorder,
     ComplianceProof,
     PolicySpec,
     TableLeaf,
@@ -374,3 +376,18 @@ def audit_verdict(chain_text: str | bytes, proof_text: str | bytes,
     if not chain.verify():
         return Verdict.INVALID
     return verify_proof(proof, chain.head_hash, policy)
+
+
+def unchecked_proof(recorder: AuditRecorder, institution_id: str, claim: str,
+                    aggregate: str) -> ComplianceProof:
+    """The proof ``prove_compliance`` would write, with ``aggregate`` stated
+    and none of its checks on the opened payloads: it hands a verifier a
+    payload the prover refuses to open."""
+    table = recorder.chain.sealed_table()
+    key = (institution_id, _CLAIM_KIND[claim])
+    headers = tuple(table.entries(key))
+    return ComplianceProof(
+        claim=claim, institution_id=institution_id, chain_head=table.seal.entry_hash,
+        headers=headers,
+        opened=tuple((h.sequence_no, *recorder.opened_store[h.sequence_no]) for h in headers),
+        aggregate=aggregate, seal=table.seal, leaves=table.opening(key))

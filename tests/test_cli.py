@@ -5,11 +5,28 @@ from pathlib import Path
 
 import pytest
 
-from privfed.cli import build_parser, main
-from privfed.compliance import PolicySpec, Verdict
+from privfed.cli import build_parser, main, verified_chain_head
+from privfed.compliance import CLAIM_REGION, AuditRecorder, PolicySpec, Verdict
 from privfed.config import ExperimentConfig, canonical_text
 
-from support import audit_verdict, report_body_lines
+from support import audit_verdict, report_body_lines, unchecked_proof
+
+EXIT_OF = {Verdict.COMPLIANT: 0, Verdict.NON_COMPLIANT: 1, Verdict.INVALID: 2}
+
+
+def verify(chain, proof, policy) -> int:
+    return main(["verify-audit", "--chain", str(chain), "--proof", str(proof),
+                 "--policy", str(policy)])
+
+
+def flip_a_commitment_bit(chain: bytes) -> bytes:
+    """The chain file with one bit flipped in its first entry's payload
+    commitment, in a decimal digit so that it stays one: the chain still
+    parses, but that entry no longer re-hashes."""
+    header, entry = chain.split(b"\n")[:2]
+    start = len(header) + 1 + len(b"|".join(entry.split(b"|")[:5])) + 1
+    i = next(j for j in range(start, start + 64) if chain[j:j + 1].isdigit())
+    return chain[:i] + bytes([chain[i] ^ 1]) + chain[i + 1:]
 
 
 def cfg_file(tmp_path, **overrides) -> Path:
@@ -213,6 +230,82 @@ class TestVerifyAudit:
                      "--proof", str(artifacts["proof"]),
                      "--policy", str(artifacts["policy"])]) == 0
         assert set(opened) <= allowed
+
+    def test_chain_rewritten_in_place_is_verified_again(self, artifacts):
+        # the chain's bytes, not its path, decide whether it was verified
+        chain, proof, policy = artifacts["chain"], artifacts["proof"], artifacts["policy"]
+        pristine = chain.read_bytes()
+        verified_chain_head.cache_clear()
+        codes = []
+        for data in (pristine, pristine, flip_a_commitment_bit(pristine), pristine):
+            chain.write_bytes(data)
+            codes.append(verify(chain, proof, policy))
+        assert codes == [0, 0, 2, 0]
+        assert verified_chain_head.cache_info().hits == 1
+
+    def test_unparseable_chain_exits_three_on_every_call(self, artifacts, tmp_path, capsys):
+        mangled = tmp_path / "mangled.chain"
+        lines = artifacts["chain"].read_text().split("\n")
+        lines[2] = "zzz"
+        mangled.write_text("\n".join(lines))
+        errors = []
+        for _ in range(2):
+            assert verify(mangled, artifacts["proof"], artifacts["policy"]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and "line 3" in errors[0]
+
+    def test_failing_chain_with_unparseable_proof_exits_three(self, artifacts, tmp_path):
+        # the proof is read before the chain's verdict is acted on, so a
+        # remembered failing chain does not hide the unparseable proof
+        failing = tmp_path / "failing.chain"
+        failing.write_bytes(flip_a_commitment_bit(artifacts["chain"].read_bytes()))
+        bad = tmp_path / "bad.proof"
+        bad.write_text(artifacts["proof"].read_text().replace("claim=", "claim=x", 1))
+        verified_chain_head.cache_clear()
+        assert verify(failing, artifacts["proof"], artifacts["policy"]) == 2
+        assert verify(failing, bad, artifacts["policy"]) == 3
+        verified_chain_head.cache_clear()
+        assert verify(failing, bad, artifacts["policy"]) == 3
+
+
+def test_exit_codes_equal_the_oracle_over_every_proof(tmp_path):
+    # a good and a failing chain, under a lax and a strict policy, so that
+    # the remembered chain changes from call to call
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_file(tmp_path, dp_enabled=True, agg_mode="secure")),
+                 "--out", str(out)]) == 0
+    failing = tmp_path / "failing.chain"
+    failing.write_bytes(flip_a_commitment_bit((out / "audit.chain").read_bytes()))
+    strict = tmp_path / "strict.policy"
+    strict.write_text((out / "audit.policy").read_text().replace(
+        "max_epsilon_per_institution=4.0", "max_epsilon_per_institution=0.5"))
+    proofs = sorted(out.glob("*.proof"))
+    assert len(proofs) == 8
+    calls = [(chain, proof, policy) for proof in proofs
+             for chain in (out / "audit.chain", failing)
+             for policy in (out / "audit.policy", strict)]
+    expected = [EXIT_OF[audit_verdict(chain.read_bytes(), proof.read_bytes(),
+                                      PolicySpec.read(policy))] for chain, proof, policy in calls]
+    assert set(expected) == {0, 1, 2}
+    for clear_each_call in (False, True):
+        codes = []
+        for call in calls:
+            if clear_each_call:
+                verified_chain_head.cache_clear()
+            codes.append(verify(*call))
+        assert codes == expected
+
+
+def test_non_object_payload_exits_2_without_traceback(tmp_path, capsys):
+    recorder = AuditRecorder(seed=0)
+    recorder._append(0, "a", "region-transfer", [1])
+    proof = unchecked_proof(recorder, "a", CLAIM_REGION, "-")
+    recorder.chain.write(tmp_path / "audit.chain")
+    proof.write(tmp_path / "a.proof")
+    PolicySpec(4.0, 0.0, frozenset({"us-east"})).write(tmp_path / "audit.policy")
+    assert verify(tmp_path / "audit.chain", tmp_path / "a.proof", tmp_path / "audit.policy") == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("verdict: invalid") and "Traceback" not in err
 
 
 def test_sigma_floor_above_the_calibrated_sigma_exits_2(tmp_path, capsys):
@@ -499,7 +592,7 @@ def test_bad_config_input_exits_2_without_traceback(tmp_path, monkeypatch, capsy
 
 def test_main_called_again_prints_and_exits_as_a_fresh_call(tmp_path, monkeypatch, capsys):
     # one process calling main over and over, as an auditor does, against
-    # the same calls each given a newly built parser
+    # the same calls each given a newly built parser and no remembered chain
     config = str(cfg_file(tmp_path))
     audit = tmp_path / "audit"
     assert main(["run", "--config", config, "--out", str(audit)]) == 0
@@ -528,15 +621,17 @@ def test_main_called_again_prints_and_exits_as_a_fresh_call(tmp_path, monkeypatc
         ["verify-audit", "--chain", str(mangled)],
     ]
 
-    def session(name, fresh_parser_each_call):
+    def session(name, fresh_each_call):
         (tmp_path / name).mkdir()
         monkeypatch.chdir(tmp_path / name)
         capsys.readouterr()
         build_parser.cache_clear()
+        verified_chain_head.cache_clear()
         results = []
         for argv in calls:
-            if fresh_parser_each_call:
+            if fresh_each_call:
                 build_parser.cache_clear()
+                verified_chain_head.cache_clear()
             try:
                 code = main(argv)
             except SystemExit as exc:
@@ -550,6 +645,7 @@ def test_main_called_again_prints_and_exits_as_a_fresh_call(tmp_path, monkeypatc
     fresh = session("fresh", True)
     reused = session("reused", False)
     assert build_parser.cache_info().misses == 1
+    assert verified_chain_head.cache_info().hits == 1  # the second call's chain
     assert reused == fresh
     assert [code for code, *_ in reused] == [0, 2, 3, 0, 0, 0, 0, 2]
     assert "table/report.txt" in reused[5][3] and "table" not in reused[6][3]

@@ -36,7 +36,7 @@ from privfed.errors import (
 )
 from privfed.seeding import salt_for
 
-from support import audit_verdict
+from support import audit_verdict, unchecked_proof
 
 
 def policy(cap=2.0, floor=0.0, regions=("us-east", "eu-west")):
@@ -360,21 +360,41 @@ class TestProofs:
             {"epsilon": True, "sigma": 1.0}, {"epsilon": float("nan"), "sigma": 1.0},
             {"epsilon": float("inf"), "sigma": 1.0}, {"epsilon": 10**400, "sigma": 1.0}]),
         *((CLAIM_REGION, row) for row in [
-            {}, {"region": None}, {"region": 5}, {"region": ["us-east"]}]),
+            {}, {"region": None}, {"region": 5}, {"region": ["us-east"]},
+            {"region": "us-east,eu-west"}, {"region": ""}]),
     ], ids=["missing", "null", "string", "bool", "nan", "inf", "huge-int",
             "epsilon-missing", "epsilon-null", "epsilon-string", "epsilon-bool",
             "epsilon-nan", "epsilon-inf", "epsilon-huge-int",
-            "region-missing", "region-null", "region-number", "region-list"])
+            "region-missing", "region-null", "region-number", "region-list",
+            "region-two-tags", "region-empty"])
     def test_budget_row_without_a_finite_sigma_is_invalid(self, claim, row):
         """A budget row whose sigma or epsilon is not a number a float holds,
-        and a region row whose region is not a string."""
+        and a region row whose region is not one identifier string."""
         recorder = AuditRecorder(seed=0)
         kind = "budget-charge" if claim == CLAIM_BUDGET else "region-transfer"
         recorder._append(0, "a", kind, {"institution": "a", **row})
         proof = prove_compliance(recorder, "a", claim)
-        # the regions that str() would make of 5 and null are allowed
-        allowed = policy(regions=("us-east", "5", "None"))
+        # the regions that str() would make of 5 and null are allowed, and so
+        # is each tag of the two-tag row, which would otherwise read as two
+        allowed = policy(regions=("us-east", "eu-west", "5", "None"))
         assert verify_proof(proof, recorder.chain.head_hash, allowed) is Verdict.INVALID
+
+    def test_region_tag_that_is_not_an_identifier_is_refused(self):
+        recorder = AuditRecorder(seed=0)
+        for region in ["us-east,eu-west", "", "us east"]:
+            with pytest.raises(ProtocolError, match="bad region tag"):
+                recorder.record_region_transfer(0, "a", region)
+        assert recorder.chain.entries == []
+
+    @pytest.mark.parametrize("payload", [[1], "a", 5, None])
+    def test_payload_that_is_not_an_object(self, payload):
+        # the prover refuses to open it; a proof that opens it anyway is invalid
+        recorder = AuditRecorder(seed=0)
+        recorder._append(0, "a", "region-transfer", payload)
+        with pytest.raises(ProvabilityError, match="not a JSON object"):
+            prove_compliance(recorder, "a", CLAIM_REGION)
+        proof = unchecked_proof(recorder, "a", CLAIM_REGION, "-")
+        assert verify_proof(proof, recorder.chain.head_hash, policy()) is Verdict.INVALID
 
     def test_stricter_policy_flips_verdict_not_validity(self):
         recorder, ledgers = charged_recorder({"a": [0.8, 0.8]})
